@@ -17,9 +17,10 @@ import sys
 
 from .domains import Assignment, make_domain
 from .duality import DualityChecker
-from .noumi import check_daha_relations
+from .noumi import check_daha_relations, monomial_exponents
 from .paramfield import FieldElement, UnluckySpecializationError
 from .polynomials import KoornwinderFamily, NonGenericParametersError
+from .weyl import partitions_up_to
 
 CACHE_ENV_VAR = "KOORNWINDER_CACHE_DIR"
 
@@ -179,19 +180,6 @@ def _cmd_check_relations(args):
     return 0 if report["all_pass"] else 1
 
 
-def _labels_up_to(n, weight):
-    from .noumi import monomial_exponents
-    return monomial_exponents(n, weight)
-
-
-def _partitions_up_to(n, weight):
-    out = []
-    for e in _labels_up_to(n, weight):
-        if all(x >= 0 for x in e) and list(e) == sorted(e, reverse=True):
-            out.append(e)
-    return out
-
-
 def _cmd_check_duality(args):
     def run(assignment):
         mode = "symbolic" if args.symbolic else "specialized"
@@ -199,14 +187,16 @@ def _cmd_check_duality(args):
         family = KoornwinderFamily(args.n, domain, cache_dir=_cache_dir(args))
         checker = DualityChecker(family)
         checks = []
-        for alpha in _labels_up_to(args.n, args.max_weight):
-            for beta in _labels_up_to(args.n, args.max_weight):
+        labels = monomial_exponents(args.n, args.max_weight)
+        partitions = partitions_up_to(args.n, args.max_weight)
+        for alpha in labels:
+            for beta in labels:
                 ok = checker.check_duality_e(alpha, beta)
                 checks.append({"kind": "E", "left": list(alpha),
                                "right": list(beta),
                                "status": "pass" if ok else "fail"})
-        for lam in _partitions_up_to(args.n, args.max_weight):
-            for mu in _partitions_up_to(args.n, args.max_weight):
+        for lam in partitions:
+            for mu in partitions:
                 ok = checker.check_duality_p(lam, mu)
                 checks.append({"kind": "P", "left": list(lam),
                                "right": list(mu),
@@ -271,7 +261,8 @@ def main(argv=None):
     except (UnluckySpecializationError, NonGenericParametersError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, AssertionError) as exc:
+        # AssertionError: a constructed object failed its own check
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     raise AssertionError("unhandled command")

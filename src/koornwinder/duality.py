@@ -11,6 +11,7 @@ are held side by side), never by transforming specialized rationals.
 from __future__ import annotations
 
 from . import weyl
+from .intertwine import y_exponential
 from .laurent import LaurentPolynomial
 from .noumi import character_value
 from .polynomials import KoornwinderFamily
@@ -92,30 +93,17 @@ class DualityChecker:
     def _fam(self, starred):
         return self.star_family if starred else self.family
 
-    def _star_e_poly(self, alpha, starred=False):
-        """The starred nonsymmetric polynomial with coefficients valued in
-        the (starred ? twin : primary) domain."""
-        key = ("e", tuple(alpha), starred)
+    def _star_poly(self, kind, label, starred=False):
+        """The starred polynomial, nonsymmetric or symmetric by kind, with
+        coefficients valued in the (starred ? twin : primary) domain."""
+        key = (kind, tuple(label), starred)
         cached = self._star_polys.get(key)
         if cached is not None:
             return cached
         if self.symbolic:
-            out = star_polynomial(self.family.nonsymmetric(alpha).poly)
+            out = star_polynomial(getattr(self.family, kind)(label).poly)
         else:
-            source = self._fam(not starred).nonsymmetric(alpha).poly
-            out = _inverted(self._fam(starred).ring.from_terms(source.terms))
-        self._star_polys[key] = out
-        return out
-
-    def _star_p_poly(self, lam, starred=False):
-        key = ("p", tuple(lam), starred)
-        cached = self._star_polys.get(key)
-        if cached is not None:
-            return cached
-        if self.symbolic:
-            out = star_polynomial(self.family.symmetric(lam).poly)
-        else:
-            source = self._fam(not starred).symmetric(lam).poly
+            source = getattr(self._fam(not starred), kind)(label).poly
             out = _inverted(self._fam(starred).ring.from_terms(source.terms))
         self._star_polys[key] = out
         return out
@@ -131,7 +119,7 @@ class DualityChecker:
             return cached
         fam = self._fam(starred)
         dom = fam.domain
-        left = self._star_e_poly(alpha, starred).evaluate(
+        left = self._star_poly("nonsymmetric", alpha, starred).evaluate(
             weyl.spectral_vector(tuple(beta), dom))
         right = fam.nonsymmetric(beta).poly.evaluate(
             rho_star_point(dom, self.n, -1))
@@ -146,7 +134,7 @@ class DualityChecker:
             return cached
         fam = self._fam(starred)
         dom = fam.domain
-        left = self._star_p_poly(lam, starred).evaluate(
+        left = self._star_poly("symmetric", lam, starred).evaluate(
             shifted_rho_point(dom, tuple(mu)))
         right = fam.symmetric(mu).poly.evaluate(
             rho_star_point(dom, self.n, -1))
@@ -180,7 +168,7 @@ class DualityChecker:
         """
         dom = self.family.domain
         p_lam = self.family.symmetric(lam).poly
-        p_mu_star = self._star_p_poly(mu)
+        p_mu_star = self._star_poly("symmetric", mu)
         lhs = (p_lam.evaluate(shifted_rho_star_point(dom, tuple(mu)))
                / p_lam.evaluate(rho_star_point(dom, self.n)))
         rhs = (p_mu_star.evaluate(shifted_rho_point(dom, tuple(lam)))
@@ -204,11 +192,7 @@ def functional_closed_form(domain, n, alpha, word, beta):
 def functional_operator_form(rep, alpha, word, beta):
     """Operator path: apply Y^beta, T_w, X^alpha to the constant one and
     evaluate at the inverted dual base point."""
-    f = rep.ring.one()
-    for j, b in enumerate(beta, start=1):
-        sign = 1 if b > 0 else -1
-        for _ in range(abs(b)):
-            f = rep.y(j, f, sign)
+    f = y_exponential(rep, beta, 0, rep.ring.one())
     f = rep.t_word(word, f)
     f = f * rep.ring.monomial(alpha)
     return f.evaluate(rho_star_point(rep.domain, rep.n, -1))

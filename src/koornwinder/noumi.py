@@ -236,7 +236,7 @@ class NoumiRepresentation:
         """Eigenvalue of the q-difference operator on the partition lam."""
         dom, n = self.domain, self.n
         lam = tuple(lam)
-        if list(lam) != sorted(lam, reverse=True) or (lam and lam[-1] < 0):
+        if not weyl.is_partition(lam):
             raise ValueError("expected a weakly decreasing nonnegative vector")
         lead = dom.q_pow(-1) * dom.a * dom.b * dom.c * dom.d
         total = dom.zero

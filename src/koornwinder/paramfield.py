@@ -4,7 +4,10 @@ Elements are quotients num/den of integer polynomials in the square roots
 of the parameters (q, t, t0, tn, u0, un).  Exponents of the square roots
 are stored doubled so that everything stays in plain integer arithmetic:
 the stored monomial (1, 0, 0, 0, 0, 0) is q**(1/2) and (2, 0, 0, 0, 0, 0)
-is q itself.
+is q itself.  num and den are elements of one sparse polynomial ring
+ZZ[r0..r5] (sympy's PolyRing, lex order), where r_i stands for the square
+root of the i-th parameter; they are dictionaries from exponent tuples to
+nonzero integers.
 
 Canonical form: no zero coefficients, the integer content and the common
 monomial factor of num and den removed, and the lexicographically leading
@@ -17,8 +20,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import sub
 
-import sympy
+from sympy import ZZ
+from sympy.polys.orderings import lex
+from sympy.polys.polyerrors import HeuristicGCDFailed
+from sympy.polys.rings import PolyElement, PolyRing
 
 PARAM_NAMES = ("q", "t", "t0", "tn", "u0", "un")
 
@@ -28,48 +35,13 @@ GCD_TERM_THRESHOLD = 64
 _N = 6
 _ZERO_EXP = (0,) * _N
 
-_SYMPY_GENS = sympy.symbols("r0:6")
+_RING = PolyRing("r0:6", ZZ, lex)
+# ring elements are shared between field elements and never mutated
+_ONE = _RING.one
 
 
 class UnluckySpecializationError(ArithmeticError):
     """A denominator vanished at the chosen parameter assignment."""
-
-
-# ---------------------------------------------------------------------------
-# polynomial dictionaries: doubled-exponent tuple -> nonzero int
-
-def _poly_add(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _poly_neg(p):
-    return {e: -c for e, c in p.items()}
-
-
-def _poly_mul(p, q):
-    if len(p) > len(q):
-        p, q = q, p
-    out = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, 0) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _poly_int(k):
-    return {_ZERO_EXP: k} if k else {}
 
 
 # Exponent rewrites for the involutions.  epsilon inverts q, t, tn, u0 and
@@ -95,65 +67,73 @@ def _map_exponents(p, fn):
 # normalization
 
 def _strip_monomial(num, den):
-    mins = [min(e[i] for p in (num, den) for e in p) for i in range(_N)]
-    if not any(mins):
+    """Divide num and den by their common monomial factor.
+
+    This is the one way into the ring: the inputs may be exponent
+    dictionaries with negative entries (but no zero coefficients); the
+    outputs are ring elements whose exponents are nonnegative, with
+    minimum zero in every variable.
+    """
+    shift = tuple(map(min, zip(*num, *den)))
+    if not any(shift) and isinstance(num, PolyElement) \
+            and isinstance(den, PolyElement):
         return num, den
-    shift = tuple(mins)
 
-    def sub(p):
-        return {tuple(a - b for a, b in zip(e, shift)): c for e, c in p.items()}
+    def shifted(p):
+        return _RING.dtype([(tuple(map(sub, e, shift)), c)
+                            for e, c in p.items()])
 
-    return sub(num), sub(den)
+    return shifted(num), shifted(den)
 
 
 def _strip_content(num, den):
-    g = 0
-    for p in (num, den):
-        for c in p.values():
-            g = math.gcd(g, c)
-            if g == 1:
-                return num, den
-    return {e: c // g for e, c in num.items()}, {e: c // g for e, c in den.items()}
+    g = num.content()
+    if g != 1:
+        g = math.gcd(g, den.content())
+    if g == 1:
+        return num, den
+    return num.quo_ground(g), den.quo_ground(g)
 
 
 def _full_reduce(num, den):
-    """Divide out the multivariate gcd of num and den (via sympy)."""
-    if len(num) == 1 or len(den) == 1:
-        # the common monomial factor is already stripped
-        return num, den
-    pn = sympy.Poly.from_dict(num, *_SYMPY_GENS, domain=sympy.ZZ)
-    pd = sympy.Poly.from_dict(den, *_SYMPY_GENS, domain=sympy.ZZ)
-    g, qn, qd = pn.cofactors(pd)
-    if g.total_degree() == 0:
-        return num, den
-
-    def back(poly):
-        return {tuple(int(x) for x in e): int(c) for e, c in poly.as_dict().items()}
-
-    return back(qn), back(qd)
+    """Divide out the multivariate gcd of num and den."""
+    try:
+        _, num, den = num.cofactors(den)
+    except HeuristicGCDFailed:
+        _, num, den = _RING.dmp_inner_gcd(num, den)
+    return num, den
 
 
-def _normalize(num, den):
-    num = {e: c for e, c in num.items() if c}
-    den = {e: c for e, c in den.items() if c}
+def _normalize(num, den, reduce=False):
+    """Canonical form of num/den, given without zero coefficients.
+
+    The full gcd reduction runs when reduce is set or either side has
+    more than GCD_TERM_THRESHOLD terms.
+    """
     if not den:
         raise ZeroDivisionError("field element with zero denominator")
     if not num:
-        return {}, {_ZERO_EXP: 1}
-    if max(len(num), len(den)) > GCD_TERM_THRESHOLD:
-        num, den = _strip_monomial(num, den)
-        num, den = _strip_content(num, den)
-        num, den = _full_reduce(num, den)
+        return _RING.zero, _ONE
     num, den = _strip_monomial(num, den)
     num, den = _strip_content(num, den)
-    if den[max(den)] < 0:
-        num, den = _poly_neg(num), _poly_neg(den)
+    if reduce or max(len(num), len(den)) > GCD_TERM_THRESHOLD:
+        num, den = _full_reduce(num, den)
+    if den.LC < 0:
+        num, den = -num, -den
     if len(num) == len(den):
         if num == den:
-            return {_ZERO_EXP: 1}, {_ZERO_EXP: 1}
-        if num == _poly_neg(den):
-            return {_ZERO_EXP: -1}, {_ZERO_EXP: 1}
+            return _ONE, _ONE
+        if num == -den:
+            return -_ONE, _ONE
     return num, den
+
+
+def _element(num, den, reduce=False):
+    """A field element from ring elements, skipping the zero-coefficient
+    filter of the public constructor."""
+    out = object.__new__(FieldElement)
+    out.num, out.den = _normalize(num, den, reduce)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +149,23 @@ class FieldElement:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
+        """num/den from exponent dictionaries or ring elements; exponents
+        may be negative and coefficients zero."""
         if den is None:
             den = {_ZERO_EXP: 1}
-        self.num, self.den = _normalize(num, den)
+        self.num, self.den = _normalize({e: c for e, c in num.items() if c},
+                                        {e: c for e, c in den.items() if c})
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_int(cls, k):
-        return cls(_poly_int(int(k)))
+        return cls({_ZERO_EXP: int(k)})
 
     @classmethod
     def from_fraction(cls, f):
         f = Fraction(f)
-        return cls(_poly_int(f.numerator), _poly_int(f.denominator))
+        return cls({_ZERO_EXP: f.numerator}, {_ZERO_EXP: f.denominator})
 
     @classmethod
     def monomial(cls, exponents, coeff=1):
@@ -190,7 +173,7 @@ class FieldElement:
         e = tuple(int(x) for x in exponents)
         if len(e) != _N:
             raise ValueError("expected 6 doubled exponents")
-        return cls({e: int(coeff)} if coeff else {})
+        return cls({e: int(coeff)})
 
     # -- arithmetic ---------------------------------------------------
 
@@ -209,15 +192,15 @@ class FieldElement:
         if other is None:
             return NotImplemented
         if self.den == other.den:
-            return FieldElement(_poly_add(self.num, other.num), self.den)
-        num = _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den))
-        return FieldElement(num, _poly_mul(self.den, other.den))
+            return _element(self.num + other.num, self.den)
+        return _element(self.num * other.den + other.num * self.den,
+                        self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
         out = object.__new__(FieldElement)
-        out.num, out.den = _poly_neg(self.num), self.den
+        out.num, out.den = -self.num, self.den
         return out
 
     def __sub__(self, other):
@@ -239,17 +222,17 @@ class FieldElement:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         # cheap cross cancellation of identical dictionaries
         if n1 == d2:
-            n1 = d2 = {_ZERO_EXP: 1}
+            n1 = d2 = _ONE
         if n2 == d1:
-            n2 = d1 = {_ZERO_EXP: 1}
-        return FieldElement(_poly_mul(n1, n2), _poly_mul(d1, d2))
+            n2 = d1 = _ONE
+        return _element(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of zero field element")
-        return FieldElement(self.den, self.num)
+        return _element(self.den, self.num)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -281,7 +264,7 @@ class FieldElement:
         if other is None:
             return NotImplemented
         # cross multiplication; no reliance on canonical gcd reduction
-        return _poly_mul(self.num, other.den) == _poly_mul(other.num, self.den)
+        return self.num * other.den == other.num * self.den
 
     def __ne__(self, other):
         result = self.__eq__(other)
@@ -332,11 +315,7 @@ class FieldElement:
 
     def canonical(self):
         """Force the full gcd reduction regardless of size."""
-        num, den = _strip_monomial(self.num, self.den)
-        num, den = _full_reduce(num, den)
-        out = object.__new__(FieldElement)
-        out.num, out.den = _normalize(num, den)
-        return out
+        return _element(self.num, self.den, reduce=True)
 
     def to_json_obj(self):
         return {
@@ -346,11 +325,8 @@ class FieldElement:
 
     def to_json_value(self):
         """Compact form: a bare int when the element is an integer."""
-        if self.den == {_ZERO_EXP: 1}:
-            if not self.num:
-                return 0
-            if list(self.num) == [_ZERO_EXP]:
-                return self.num[_ZERO_EXP]
+        if self.den == 1 and self.num.is_ground:
+            return int(self.num.const())
         return self.to_json_obj()
 
     @classmethod
@@ -362,7 +338,7 @@ class FieldElement:
         return cls(num, den)
 
     def __repr__(self):
-        if self.den == {_ZERO_EXP: 1}:
+        if self.den == 1:
             return _poly_str(self.num)
         return "(%s)/(%s)" % (_poly_str(self.num), _poly_str(self.den))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 
 from . import weyl
@@ -158,7 +159,7 @@ class KoornwinderFamily:
         and the q-difference operator eigenvalue equation.
         """
         lam = tuple(int(x) for x in lam)
-        if list(lam) != sorted(lam, reverse=True) or (lam and lam[-1] < 0):
+        if not weyl.is_partition(lam):
             raise ValueError("expected a weakly decreasing nonnegative label")
         cached = self._symmetric.get(lam)
         if cached is not None:
@@ -225,25 +226,33 @@ class KoornwinderFamily:
         return os.path.join(self.cache_dir, digest + ".json")
 
     def _disk_read(self, alpha):
+        """The cached entry for alpha, or None on a miss.
+
+        An entry that cannot be read or decoded, or that belongs to another
+        rank (from_json rejects it) or label, is a miss: nonsymmetric then
+        recomputes it and rewrites the file.
+        """
         if not self.cache_dir:
             return None
-        path = self._cache_path(alpha)
-        if not os.path.exists(path):
+        try:
+            with open(self._cache_path(alpha), "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+            if data["label"] != list(alpha):
+                return None
+            dec = self.domain.decode_scalar
+            return LabeledPolynomial(
+                label=alpha,
+                poly=self.ring.from_json(data),
+                spectrum=tuple(dec(v) for v in data["spectrum"]))
+        except (OSError, ValueError, LookupError, TypeError, ArithmeticError):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        dec = self.domain.decode_scalar
-        return LabeledPolynomial(
-            label=tuple(data["label"]),
-            poly=self.ring.from_json(data),
-            spectrum=tuple(dec(v) for v in data["spectrum"]))
 
     def _disk_write(self, labeled):
         if not self.cache_dir:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
-        path = self._cache_path(labeled.label)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        # a temp file of its own per writer, renamed into place atomically
+        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(labeled.to_json(), fh, sort_keys=True)
-        os.replace(tmp, path)
+        os.replace(tmp, self._cache_path(labeled.label))

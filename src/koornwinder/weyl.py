@@ -252,6 +252,21 @@ def chain_to(alpha):
     return tuple(reversed(word))
 
 
+def is_partition(lam):
+    """Is lam weakly decreasing and nonnegative?"""
+    return all(a >= b for a, b in zip(lam, lam[1:])) and min(lam, default=0) >= 0
+
+
+def partitions_up_to(n, weight):
+    """All partitions with n parts (zeros allowed) of weight <= weight, sorted."""
+    out = [()]
+    for _ in range(n):
+        out = [lam + (k,) for lam in out
+               for k in range((lam[-1] if lam else weight) + 1)
+               if sum(lam) + k <= weight]
+    return sorted(out)
+
+
 def enumerate_W0(n):
     """All 2^n n! signed permutations with one reduced word each.
 

@@ -140,3 +140,100 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["compute-e", "--n", "1"])  # missing --alpha
     assert info.value.code == 2
+
+
+def _only_cache_file(cache):
+    files = list(cache.glob("*.json"))
+    assert len(files) == 1
+    return files[0]
+
+
+def test_truncated_cache_entry_is_recomputed(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    args = ("compute-e", "--n", "2", "--alpha", "2,-1",
+            "--cache-dir", str(cache))
+    code, cold, _ = run_cli(capsys, *args)
+    assert code == 0
+    path = _only_cache_file(cache)
+    full = path.read_bytes()
+    path.write_bytes(full[:len(full) // 2])
+    code, again, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert again == cold
+    assert path.read_bytes() == full  # rewritten
+    assert not list(cache.glob("*.tmp"))
+
+
+def test_poisoned_cache_fails_symmetric_check(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    args = ("compute-p", "--n", "2", "--lambda", "1,0",
+            "--cache-dir", str(cache))
+    code, _, _ = run_cli(capsys, *args)
+    assert code == 0
+    path = _only_cache_file(cache)
+    entry = json.loads(path.read_text())
+    entry["terms"][0]["coeff"] = "12345/7"  # a non-leading coefficient
+    path.write_text(json.dumps(entry))
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert "eigenvalue" in json.loads(err)["error"]
+
+
+# stdout of two symbolic commands, recorded before the coefficient field
+# moved onto sympy's sparse polynomial ring; the canonical form must not
+# change a byte
+PINNED_STDOUT = {
+    ("compute-e", "--n", "1", "--alpha", "-1", "--mode", "symbolic"): (
+        '{"label":[-1],"n":1,"spectrum":[{"den":[["1",[2,0,1,1,0,0]]],"nu'
+        'm":[["1",[0,0,0,0,0,0]]]}],"terms":[{"coeff":1,"exp":[-1]},{"coe'
+        'ff":{"den":[["-1",[0,0,0,0,1,1]],["1",[2,0,2,2,1,1]]],"num":[["-'
+        '1",[0,0,0,1,1,0]],["1",[0,0,0,1,1,2]],["-1",[1,0,1,2,0,1]],["1",'
+        '[1,0,1,2,2,1]]]},"exp":[0]}],"verified":true}' "\n"),
+    ("compute-p", "--n", "1", "--lambda", "2", "--mode", "symbolic"): (
+        '{"label":[2],"n":1,"spectrum":[{"den":[["1",[0,0,0,0,0,0]]],"num'
+        '":[["1",[4,0,1,1,0,0]]]}],"terms":[{"coeff":1,"exp":[-2]},{"coef'
+        'f":{"den":[["-1",[0,0,0,0,1,1]],["1",[6,0,2,2,1,1]]],"num":[["-1'
+        '",[0,0,0,1,1,0]],["1",[0,0,0,1,1,2]],["-1",[1,0,1,0,0,1]],["1",['
+        '1,0,1,0,2,1]],["-1",[2,0,0,1,1,0]],["1",[2,0,0,1,1,2]],["-1",[3,'
+        '0,1,0,0,1]],["1",[3,0,1,0,2,1]],["-1",[3,0,1,2,0,1]],["1",[3,0,1'
+        ',2,2,1]],["-1",[4,0,2,1,1,0]],["1",[4,0,2,1,1,2]],["-1",[5,0,1,2'
+        ',0,1]],["1",[5,0,1,2,2,1]],["-1",[6,0,2,1,1,0]],["1",[6,0,2,1,1,'
+        '2]]]},"exp":[-1]},{"coeff":{"den":[["1",[0,0,0,0,2,2]],["-1",[4,'
+        '0,2,2,2,2]],["-1",[6,0,2,2,2,2]],["1",[10,0,4,4,2,2]]],"num":[["'
+        '1",[0,0,0,0,2,2]],["-1",[0,0,0,2,2,2]],["1",[1,0,1,1,1,1]],["-1"'
+        ',[1,0,1,1,1,3]],["-1",[1,0,1,1,3,1]],["1",[1,0,1,1,3,3]],["1",[2'
+        ',0,0,0,2,2]],["1",[2,0,0,2,2,0]],["-1",[2,0,0,2,2,2]],["1",[2,0,'
+        '0,2,2,4]],["-1",[2,0,2,0,2,2]],["-1",[2,0,2,2,2,2]],["1",[3,0,1,'
+        '1,1,1]],["-1",[3,0,1,1,1,3]],["-1",[3,0,1,1,3,1]],["1",[3,0,1,1,'
+        '3,3]],["1",[3,0,1,3,1,1]],["-1",[3,0,1,3,1,3]],["-1",[3,0,1,3,3,'
+        '1]],["1",[3,0,1,3,3,3]],["1",[4,0,2,0,0,2]],["-1",[4,0,2,0,2,2]]'
+        ',["1",[4,0,2,0,4,2]],["1",[4,0,2,2,0,2]],["1",[4,0,2,2,2,0]],["-'
+        '5",[4,0,2,2,2,2]],["1",[4,0,2,2,2,4]],["1",[4,0,2,2,4,2]],["1",['
+        '5,0,1,3,1,1]],["-1",[5,0,1,3,1,3]],["-1",[5,0,1,3,3,1]],["1",[5,'
+        '0,1,3,3,3]],["1",[5,0,3,1,1,1]],["-1",[5,0,3,1,1,3]],["-1",[5,0,'
+        '3,1,3,1]],["1",[5,0,3,1,3,3]],["1",[6,0,2,2,0,2]],["1",[6,0,2,2,'
+        '2,0]],["-5",[6,0,2,2,2,2]],["1",[6,0,2,2,2,4]],["1",[6,0,2,2,4,2'
+        ']],["1",[6,0,2,4,0,2]],["-1",[6,0,2,4,2,2]],["1",[6,0,2,4,4,2]],'
+        '["1",[7,0,3,1,1,1]],["-1",[7,0,3,1,1,3]],["-1",[7,0,3,1,3,1]],["'
+        '1",[7,0,3,1,3,3]],["1",[7,0,3,3,1,1]],["-1",[7,0,3,3,1,3]],["-1"'
+        ',[7,0,3,3,3,1]],["1",[7,0,3,3,3,3]],["-1",[8,0,2,2,2,2]],["-1",['
+        '8,0,2,4,2,2]],["1",[8,0,4,2,2,0]],["-1",[8,0,4,2,2,2]],["1",[8,0'
+        ',4,2,2,4]],["1",[8,0,4,4,2,2]],["1",[9,0,3,3,1,1]],["-1",[9,0,3,'
+        '3,1,3]],["-1",[9,0,3,3,3,1]],["1",[9,0,3,3,3,3]],["-1",[10,0,4,2'
+        ',2,2]],["1",[10,0,4,4,2,2]]]},"exp":[0]},{"coeff":{"den":[["-1",'
+        '[0,0,0,0,1,1]],["1",[6,0,2,2,1,1]]],"num":[["-1",[0,0,0,1,1,0]],'
+        '["1",[0,0,0,1,1,2]],["-1",[1,0,1,0,0,1]],["1",[1,0,1,0,2,1]],["-'
+        '1",[2,0,0,1,1,0]],["1",[2,0,0,1,1,2]],["-1",[3,0,1,0,0,1]],["1",'
+        '[3,0,1,0,2,1]],["-1",[3,0,1,2,0,1]],["1",[3,0,1,2,2,1]],["-1",[4'
+        ',0,2,1,1,0]],["1",[4,0,2,1,1,2]],["-1",[5,0,1,2,0,1]],["1",[5,0,'
+        '1,2,2,1]],["-1",[6,0,2,1,1,0]],["1",[6,0,2,1,1,2]]]},"exp":[1]},'
+        '{"coeff":1,"exp":[2]}],"verified":true}' "\n"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
+def test_symbolic_stdout_is_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == PINNED_STDOUT[argv]

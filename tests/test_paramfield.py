@@ -150,9 +150,27 @@ def test_gcd_threshold_reduction():
     for k in range(80):
         e = tuple(rng.randint(0, 3) for _ in range(6))
         big[e] = big.get(e, 0) + rng.randint(1, 4)
-    x = FieldElement(pf._poly_mul(big, {(1, 0, 0, 0, 0, 0): 1}), big)
+    assert len(big) > pf.GCD_TERM_THRESHOLD
+    # big * q^(1/2): shift the first doubled exponent of every term by one
+    x = FieldElement({(e[0] + 1,) + e[1:]: c for e, c in big.items()}, big)
     assert x == pf.SQRT_Q
     assert x.num == pf.SQRT_Q.num  # reduction actually fired
+
+
+def test_gcd_falls_back_when_the_heuristic_fails(monkeypatch):
+    from sympy.polys.polyerrors import HeuristicGCDFailed
+    from sympy.polys.rings import PolyElement
+
+    common = ONE - pf.SQRT_T
+    expected = ((ONE + pf.SQRT_Q) / (2 + pf.SQRT_U0)).canonical()
+
+    def no_luck(f, g):
+        raise HeuristicGCDFailed("no luck")
+
+    monkeypatch.setattr(PolyElement, "_gcd_ZZ", no_luck)
+    x = ((ONE + pf.SQRT_Q) * common) / ((2 + pf.SQRT_U0) * common)
+    reduced = x.canonical()
+    assert reduced.num == expected.num and reduced.den == expected.den
 
 
 def test_json_round_trip():

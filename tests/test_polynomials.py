@@ -147,6 +147,23 @@ def test_disk_cache_round_trip(tmp_path, specialized):
     assert fam_again.verify_spectrum(second)
 
 
+def test_disk_cache_entry_for_another_label_is_a_miss(tmp_path, specialized):
+    fam = KoornwinderFamily(2, specialized, cache_dir=str(tmp_path))
+    fam.nonsymmetric((2, 0))
+    expected = fam.nonsymmetric((1, 0))
+    # the entry of (2, 0) stored under the key of (1, 0)
+    wrong = fam._cache_path((1, 0))
+    with open(fam._cache_path((2, 0)), "rb") as src, open(wrong, "wb") as dst:
+        dst.write(src.read())
+    fresh = KoornwinderFamily(2, specialized, cache_dir=str(tmp_path))
+    got = fresh.nonsymmetric((1, 0))
+    assert got.label == (1, 0)
+    assert got.poly == expected.poly
+    # and the recomputed entry replaced the wrong one
+    again = KoornwinderFamily(2, specialized, cache_dir=str(tmp_path))
+    assert again._disk_read((1, 0)).poly == expected.poly
+
+
 def test_verify_spectrum_rejects_wrong_data(fam2):
     from koornwinder.polynomials import LabeledPolynomial
     good = fam2.nonsymmetric((1, 0))
