@@ -28,36 +28,13 @@ def star_polynomial(f):
         ring, {tuple(-x for x in e): c.star() for e, c in f.terms.items()})
 
 
-def rho_star_point(domain, n, sign=1):
-    """The dual spectral base point, componentwise ((un*tn)^(1/2) t^(n-i))^sign."""
-    out = []
-    for i in range(1, n + 1):
-        base = domain.s_dual * domain.t ** (n - i)
-        out.append(base if sign > 0 else base ** (-1))
-    return tuple(out)
-
-
-def rho_point(domain, n, sign=1):
-    """The spectral base point, componentwise ((t0*tn)^(1/2) t^(n-i))^sign."""
-    out = []
-    for i in range(1, n + 1):
-        base = domain.s * domain.t ** (n - i)
-        out.append(base if sign > 0 else base ** (-1))
-    return tuple(out)
-
-
-def shifted_rho_point(domain, mu):
-    """q^(mu + rho): components q^(mu_i) * s * t^(n-i)."""
+def dual_spectral_point(domain, mu, sign=1):
+    """The dual spectral point q^(mu + rho*), componentwise
+    (q^(mu_i) * (un*tn)^(1/2) * t^(n-i))^sign; mu = 0 gives the dual base
+    point.  Its primal counterpart q^(mu + rho) is weyl.spectral_vector(mu)."""
     n = len(mu)
-    return tuple(domain.q_pow(mu[i - 1]) * domain.s * domain.t ** (n - i)
-                 for i in range(1, n + 1))
-
-
-def shifted_rho_star_point(domain, mu):
-    """q^(mu + rho*): components q^(mu_i) * (un*tn)^(1/2) * t^(n-i)."""
-    n = len(mu)
-    return tuple(domain.q_pow(mu[i - 1]) * domain.s_dual * domain.t ** (n - i)
-                 for i in range(1, n + 1))
+    return tuple((domain.q_pow(m) * domain.s_dual * domain.t ** (n - i)) ** sign
+                 for i, m in enumerate(mu, start=1))
 
 
 def _inverted(poly):
@@ -110,54 +87,51 @@ class DualityChecker:
 
     # -- pairings --------------------------------------------------------
 
+    def _pairing(self, kind, left, right, starred):
+        """The starred polynomial of left at the spectral point of right,
+        times the polynomial of right at the inverted dual base point;
+        nonsymmetric or symmetric by kind."""
+        key = (kind, tuple(left), tuple(right), starred)
+        cached = self._pairings.get(key)
+        if cached is not None:
+            return cached
+        fam = self._fam(starred)
+        dom = fam.domain
+        value = (self._star_poly(kind, left, starred).evaluate(
+                     weyl.spectral_vector(tuple(right), dom))
+                 * getattr(fam, kind)(right).poly.evaluate(
+                     dual_spectral_point(dom, (0,) * self.n, -1)))
+        self._pairings[key] = value
+        return value
+
     def pairing_e(self, alpha, beta, starred=False):
         """E*_alpha at the spectral point of beta, times E_beta at the
         inverted dual base point."""
-        key = ("e", tuple(alpha), tuple(beta), starred)
-        cached = self._pairings.get(key)
-        if cached is not None:
-            return cached
-        fam = self._fam(starred)
-        dom = fam.domain
-        left = self._star_poly("nonsymmetric", alpha, starred).evaluate(
-            weyl.spectral_vector(tuple(beta), dom))
-        right = fam.nonsymmetric(beta).poly.evaluate(
-            rho_star_point(dom, self.n, -1))
-        value = left * right
-        self._pairings[key] = value
-        return value
+        return self._pairing("nonsymmetric", alpha, beta, starred)
 
     def pairing_p(self, lam, mu, starred=False):
-        key = ("p", tuple(lam), tuple(mu), starred)
-        cached = self._pairings.get(key)
-        if cached is not None:
-            return cached
-        fam = self._fam(starred)
-        dom = fam.domain
-        left = self._star_poly("symmetric", lam, starred).evaluate(
-            shifted_rho_point(dom, tuple(mu)))
-        right = fam.symmetric(mu).poly.evaluate(
-            rho_star_point(dom, self.n, -1))
-        value = left * right
-        self._pairings[key] = value
-        return value
+        """P*_lam at q^(mu + rho), times P_mu at the inverted dual base
+        point."""
+        return self._pairing("symmetric", lam, mu, starred)
 
     # -- theorem checks ---------------------------------------------------
 
-    def check_duality_e(self, alpha, beta):
-        """star(pairing(alpha, beta)) == pairing(beta, alpha)."""
+    def _check_duality(self, kind, left, right):
+        """star(pairing(left, right)) == pairing(right, left)."""
         if self.symbolic:
-            lhs = self.family.domain.star_scalar(self.pairing_e(alpha, beta))
+            lhs = self.family.domain.star_scalar(
+                self._pairing(kind, left, right, False))
         else:
-            lhs = self.pairing_e(alpha, beta, starred=True)
-        return lhs == self.pairing_e(beta, alpha)
+            lhs = self._pairing(kind, left, right, True)
+        return lhs == self._pairing(kind, right, left, False)
+
+    def check_duality_e(self, alpha, beta):
+        """star(pairing_e(alpha, beta)) == pairing_e(beta, alpha)."""
+        return self._check_duality("nonsymmetric", alpha, beta)
 
     def check_duality_p(self, lam, mu):
-        if self.symbolic:
-            lhs = self.family.domain.star_scalar(self.pairing_p(lam, mu))
-        else:
-            lhs = self.pairing_p(lam, mu, starred=True)
-        return lhs == self.pairing_p(mu, lam)
+        """star(pairing_p(lam, mu)) == pairing_p(mu, lam)."""
+        return self._check_duality("symmetric", lam, mu)
 
     def check_evaluation_ratio(self, lam, mu):
         """The duality ratio identity between normalized evaluations.
@@ -169,10 +143,11 @@ class DualityChecker:
         dom = self.family.domain
         p_lam = self.family.symmetric(lam).poly
         p_mu_star = self._star_poly("symmetric", mu)
-        lhs = (p_lam.evaluate(shifted_rho_star_point(dom, tuple(mu)))
-               / p_lam.evaluate(rho_star_point(dom, self.n)))
-        rhs = (p_mu_star.evaluate(shifted_rho_point(dom, tuple(lam)))
-               / p_mu_star.evaluate(rho_point(dom, self.n)))
+        zero = (0,) * self.n
+        lhs = (p_lam.evaluate(dual_spectral_point(dom, tuple(mu)))
+               / p_lam.evaluate(dual_spectral_point(dom, zero)))
+        rhs = (p_mu_star.evaluate(weyl.spectral_vector(tuple(lam), dom))
+               / p_mu_star.evaluate(weyl.spectral_vector(zero, dom)))
         return lhs == rhs
 
 
@@ -195,7 +170,7 @@ def functional_operator_form(rep, alpha, word, beta):
     f = y_exponential(rep, beta, 0, rep.ring.one())
     f = rep.t_word(word, f)
     f = f * rep.ring.monomial(alpha)
-    return f.evaluate(rho_star_point(rep.domain, rep.n, -1))
+    return f.evaluate(dual_spectral_point(rep.domain, (0,) * rep.n, -1))
 
 
 def star_pbw_triple(alpha, word, beta):

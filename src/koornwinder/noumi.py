@@ -57,7 +57,6 @@ class NoumiRepresentation:
         self._u0_word = (("qh", 0, -1), ("t", 0, -1), ("x", 1, 1))
         self._un_word = ((("x", 1, -1), ("t", 0, 1))
                          + _invert_atoms(self._y_words[1]))
-        self._w0_data = None
         self._phi_cache = {}
 
     # -- generators ------------------------------------------------------
@@ -121,32 +120,36 @@ class NoumiRepresentation:
             f = self.t(i, f)
         return f
 
-    def character(self, word):
-        return character_value(word, self.domain, self.n)
-
     # -- symmetrizer -------------------------------------------------------
 
-    def _finite_group_data(self):
-        if self._w0_data is None:
-            elements = weyl.enumerate_W0(self.n)
-            weights = [(word, self.character(word)) for _, word in elements]
-            norm = self.domain.zero
-            for _, chi in weights:
-                norm = norm + chi * chi
-            self._w0_data = (weights, norm ** (-1))
-        return self._w0_data
-
     def symmetrizer(self, f):
-        """The character-weighted average of the T_w over the finite group.
+        """The character-weighted average of the T_w over the finite group,
+        sum_w chi(w) T_w / sum_w chi(w)^2 with chi(T_i) = t_i^(1/2).
 
         Acts as the identity on symmetric polynomials and projects onto
-        them in general.
+        them in general.  The sum factors along the parabolic chain
+        W0 = W_1 > W_2 > ... > W_n, where W_m is generated by s_m, ..., s_n:
+        every w in W_m is uniquely u*v with v in W_{m+1} and u a minimal
+        coset representative, lengths adding (Bjorner-Brenti, parabolic
+        factorization).  Those u are the right factors of the reduced word
+        s_m s_{m+1} ... s_n ... s_{m+1} s_m, so applying its letters right
+        to left, one T at a time, visits every T_u.  The sum over W0 is the
+        product of these chain sums, innermost level W_n first, and the
+        normalizer sum_w chi(w)^2 the product of the levels' sum_u chi(u)^2.
+        Level m costs 2(n - m) + 1 applications of T, n^2 in all.
         """
-        weights, inv_norm = self._finite_group_data()
-        total = self.ring.zero()
-        for word, chi in weights:
-            total = total + self.t_word(word, f) * chi
-        return total * inv_norm
+        dom, n = self.domain, self.n
+        norm = dom.one
+        for m in range(n, 0, -1):
+            total, g, chi, level_norm = f, f, dom.one, dom.one
+            for i in tuple(range(m, n + 1)) + tuple(range(n - 1, m - 1, -1)):
+                g = self.t(i, g)
+                chi = chi * self._t_half[i]
+                total = total + g * chi
+                level_norm = level_norm + chi * chi
+            f = total
+            norm = norm * level_norm
+        return f * norm ** (-1)
 
     # -- the q-difference operator ----------------------------------------
 
@@ -191,29 +194,29 @@ class NoumiRepresentation:
         nonzero remainder means the input was not in the stable subspace.
         """
         ring = self.ring
-        if not f:
+        diffs = [(i, direction, apply_translation(i, f, direction) - f)
+                 for i in range(1, self.n + 1) for direction in (1, -1)]
+        if not any(diff for _, _, diff in diffs):
             return ring.zero()
         canon_factors = []   # distinct canonical denominator factors
         pieces = []          # (numerator, indices of its factors)
-        for i in range(1, self.n + 1):
-            for direction in (1, -1):
-                diff = apply_translation(i, f, direction) - f
-                num, raw_factors = self._phi_parts(i, direction)
-                unit = ring.one()
-                idxs = []
-                for fac in raw_factors:
-                    shift, lead, canon = unit_normalize(fac)
-                    unit = unit * ring.monomial(
-                        tuple(-x for x in shift), lead ** (-1))
-                    for k, known in enumerate(canon_factors):
-                        if known == canon:
-                            idxs.append(k)
-                            break
-                    else:
-                        idxs.append(len(canon_factors))
-                        canon_factors.append(canon)
-                if diff:
-                    pieces.append((num * diff * unit, idxs))
+        for i, direction, diff in diffs:
+            num, raw_factors = self._phi_parts(i, direction)
+            unit = ring.one()
+            idxs = []
+            for fac in raw_factors:
+                shift, lead, canon = unit_normalize(fac)
+                unit = unit * ring.monomial(
+                    tuple(-x for x in shift), lead ** (-1))
+                for k, known in enumerate(canon_factors):
+                    if known == canon:
+                        idxs.append(k)
+                        break
+                else:
+                    idxs.append(len(canon_factors))
+                    canon_factors.append(canon)
+            if diff:
+                pieces.append((num * diff * unit, idxs))
         total = ring.zero()
         denominator = ring.one()
         for fac in canon_factors:

@@ -105,10 +105,16 @@ class KoornwinderFamily:
             if hit is not None:
                 start, f = k + 1, hit
                 break
-        for k in range(start, len(points)):
-            f = apply_intertwiner(self.rep, word[k], f)
-            self._raw[points[k]] = f
+        for point, f in zip(points[start:], self._walk(word[start:], f)):
+            self._raw[point] = f
         return f
+
+    def _walk(self, word, f):
+        """The states reached from f along a chain word (application
+        order), one per letter."""
+        for i in word:
+            f = apply_intertwiner(self.rep, i, f)
+            yield f
 
     def raw_eigenvector(self, alpha):
         """The unnormalized chain output: a nonzero scalar multiple of the
@@ -122,8 +128,8 @@ class KoornwinderFamily:
         word (application order), bypassing every cache."""
         alpha = tuple(alpha)
         f = self.ring.one()
-        for i in word:
-            f = apply_intertwiner(self.rep, i, f)
+        for f in self._walk(word, f):
+            pass
         lead = f.coefficient(alpha)
         if not lead:
             raise NonGenericParametersError("chain output misses its label")

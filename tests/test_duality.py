@@ -3,10 +3,10 @@ import random
 import pytest
 
 from koornwinder import weyl
-from koornwinder.duality import (DualityChecker, functional_closed_form,
-                                 functional_operator_form, rho_point,
-                                 rho_star_point, shifted_rho_point,
-                                 star_pbw_triple, star_polynomial)
+from koornwinder.duality import (DualityChecker, dual_spectral_point,
+                                 functional_closed_form,
+                                 functional_operator_form, star_pbw_triple,
+                                 star_polynomial)
 from koornwinder.laurent import LaurentRing
 from koornwinder.polynomials import KoornwinderFamily
 
@@ -46,13 +46,16 @@ def test_star_polynomial_requires_symbolic(specialized):
 
 def test_rho_star_values(symbolic):
     d = symbolic
-    assert rho_star_point(d, 1) == (d.s_dual,)
-    assert rho_star_point(d, 2) == (d.s_dual * d.t, d.s_dual)
+    assert dual_spectral_point(d, (0,)) == (d.s_dual,)
+    assert dual_spectral_point(d, (0, 0)) == (d.s_dual * d.t, d.s_dual)
+    assert dual_spectral_point(d, (2, 0), -1) == (
+        (d.q_pow(2) * d.s_dual * d.t) ** (-1), d.s_dual ** (-1))
     # the starred base point is the star of the base point
     for n in (1, 2, 3):
-        starred = tuple(v.star() for v in rho_point(d, n))
-        assert starred == rho_star_point(d, n)
-    assert shifted_rho_point(d, (2, 0)) == (d.q_pow(2) * d.s * d.t, d.s)
+        zero = (0,) * n
+        starred = tuple(v.star() for v in weyl.spectral_vector(zero, d))
+        assert starred == dual_spectral_point(d, zero)
+    assert weyl.spectral_vector((2, 0), d) == (d.q_pow(2) * d.s * d.t, d.s)
 
 
 def test_symmetric_inversion_invariance(fam1):
@@ -60,8 +63,8 @@ def test_symmetric_inversion_invariance(fam1):
     d = fam1.domain
     for lam in [(1,), (2,)]:
         p = fam1.symmetric(lam).poly
-        assert (p.evaluate(rho_star_point(d, 1, -1))
-                == p.evaluate(rho_star_point(d, 1, 1)))
+        assert (p.evaluate(dual_spectral_point(d, (0,), -1))
+                == p.evaluate(dual_spectral_point(d, (0,))))
 
 
 def test_pairing_base_cases(chk1):

@@ -7,6 +7,7 @@ from koornwinder.laurent import LaurentRing, apply_simple_reflection
 from koornwinder.noumi import (NoumiRepresentation, character_value,
                                check_daha_relations, monomial_exponents)
 from koornwinder.domains import Assignment, SpecializedDomain
+from koornwinder.polynomials import KoornwinderFamily
 
 from conftest import random_laurent
 
@@ -103,8 +104,8 @@ def test_t_word_braid_equality(rep2):
 
 def test_character(rep2):
     d = rep2.domain
-    assert rep2.character(()) == d.one
-    assert rep2.character((2,)) == d.tn_sqrt
+    assert character_value((), d, 2) == d.one
+    assert character_value((2,), d, 2) == d.tn_sqrt
     assert character_value((1, 2, 1), SpecializedDomain(), 3) == SpecializedDomain().t_sqrt ** 3
 
 
@@ -120,6 +121,48 @@ def test_symmetrizer(rep2):
         assert rep2.symmetrizer(g) == g
         for i in (1, 2):
             assert apply_simple_reflection(i, g) == g
+
+
+def literal_symmetrizer(rep, f):
+    """The definition: sum_w chi(w) T_w f / sum_w chi(w)^2 over all of W0."""
+    dom, n = rep.domain, rep.n
+    total, norm = rep.ring.zero(), dom.zero
+    for _, word in weyl.enumerate_W0(n):
+        chi = character_value(word, dom, n)
+        total = total + rep.t_word(word, f) * chi
+        norm = norm + chi * chi
+    return total * norm ** (-1)
+
+
+@pytest.mark.parametrize("n, mode, inputs", [
+    (1, "specialized", 4), (2, "specialized", 4), (3, "specialized", 4),
+    (2, "symbolic", 3)])
+def test_symmetrizer_matches_definition(n, mode, inputs, request):
+    rep = NoumiRepresentation(LaurentRing(n, request.getfixturevalue(mode)))
+    rng = random.Random(10 + n)
+    for _ in range(inputs):
+        f = random_laurent(rep.ring, rng, radius=2, terms=3)
+        assert rep.symmetrizer(f) == literal_symmetrizer(rep, f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_symmetrizer_applies_t_n_squared_times(n, specialized):
+    rep = NoumiRepresentation(LaurentRing(n, specialized))
+    calls = []
+    t = rep.t
+
+    def counting_t(i, f, sign=1):
+        calls.append(i)
+        return t(i, f, sign)
+
+    rep.t = counting_t
+    assert rep.symmetrizer(rep.ring.one()) == rep.ring.one()
+    assert len(calls) == n * n
+
+
+def test_symmetric_constant_beyond_enumeration_cap():
+    family = KoornwinderFamily(7, SpecializedDomain())
+    assert family.symmetric((0,) * 7).poly == family.ring.one()
 
 
 def test_koornwinder_d_kills_constants(rep1, rep2):
