@@ -10,6 +10,7 @@ never needs to know which mode it runs in.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -149,6 +150,14 @@ class SymbolicDomain(_BaseDomain):
     def complexity(self, v):
         return len(v.num) + len(v.den)
 
+    def common_denominator(self, values):
+        """A nonzero scalar whose product with each value is a polynomial
+        in the square roots: the lcm of the denominator polynomials."""
+        den = paramfield.ONE.den
+        for v in values:
+            den = den.lcm(v.den)
+        return FieldElement(den)
+
     def star_domain(self):
         return self
 
@@ -186,6 +195,10 @@ class SpecializedDomain(_BaseDomain):
 
     def complexity(self, v):
         return v.numerator.bit_length() + v.denominator.bit_length()
+
+    def common_denominator(self, values):
+        """The lcm of the denominators of the values."""
+        return Fraction(math.lcm(*(v.denominator for v in values)))
 
     def star_domain(self):
         return SpecializedDomain(self.assignment.star())

@@ -12,6 +12,9 @@ for the defining presentation.
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
+
 from . import weyl
 from .laurent import (LaurentRing, apply_simple_reflection, apply_translation,
                       exact_divide, unit_normalize, ExactDivisionError)
@@ -57,7 +60,7 @@ class NoumiRepresentation:
         self._u0_word = (("qh", 0, -1), ("t", 0, -1), ("x", 1, 1))
         self._un_word = ((("x", 1, -1), ("t", 0, 1))
                          + _invert_atoms(self._y_words[1]))
-        self._phi_cache = {}
+        self._d_terms = None
 
     # -- generators ------------------------------------------------------
 
@@ -153,87 +156,146 @@ class NoumiRepresentation:
 
     # -- the q-difference operator ----------------------------------------
 
-    def _phi_parts(self, i, direction):
-        """Numerator polynomial and denominator factor list of the i-th
-        rational coefficient (direction -1 substitutes x -> 1/x)."""
-        key = (i, direction)
-        if key in self._phi_cache:
-            return self._phi_cache[key]
+    def _d_table(self):
+        """The shift terms of D over one shared list of denominator factors.
+
+        Returns (pieces, factors): factors are the distinct canonical
+        (unit-normalized) denominator factors, and pieces holds one
+        (i, direction, numerator, own) per shift term, i = 1..n and
+        direction +1, -1 (-1 substitutes x_i -> 1/x_i), so that the term's
+        coefficient is prod(numerator) / prod(factors[k] for k in own).
+        The numerator is kept as its list of binomials and one monomial
+        unit, which are cheaper to evaluate than their product.  Built
+        once per representation.
+        """
+        if self._d_terms is not None:
+            return self._d_terms
         ring, dom, n = self.ring, self.domain, self.n
-        d = 1 if direction > 0 else -1
 
         def one_minus(coeff, exp):
             return ring.one() - ring.monomial(exp, coeff)
 
-        def e(var, power):
-            out = [0] * n
-            out[var - 1] = power
-            return tuple(out)
-
-        num = ring.one()
-        for coeff in (dom.a, dom.b, dom.c, dom.d):
-            num = num * one_minus(coeff, e(i, d))
-        factors = [one_minus(dom.one, e(i, 2 * d)), one_minus(dom.q, e(i, 2 * d))]
-        for j in range(1, n + 1):
-            if j == i:
-                continue
-            for jpow in (-d, d):
-                exp = [0] * n
-                exp[i - 1] = d
-                exp[j - 1] = jpow
-                num = num * one_minus(dom.t, tuple(exp))
-                factors.append(one_minus(dom.one, tuple(exp)))
-        self._phi_cache[key] = (num, factors)
-        return num, factors
+        factors, pieces = [], []
+        for i in range(1, n + 1):
+            for d in (1, -1):
+                xi = [0] * n
+                xi[i - 1] = d
+                num = [one_minus(coeff, xi)
+                       for coeff in (dom.a, dom.b, dom.c, dom.d)]
+                xi2 = [2 * x for x in xi]
+                raw = [one_minus(dom.one, xi2), one_minus(dom.q, xi2)]
+                for j in range(1, n + 1):
+                    if j == i:
+                        continue
+                    for jpow in (-d, d):
+                        exp = list(xi)
+                        exp[j - 1] = jpow
+                        num.append(one_minus(dom.t, exp))
+                        raw.append(one_minus(dom.one, exp))
+                unit = ring.one()
+                own = []
+                for fac in raw:
+                    shift, lead, canon = unit_normalize(fac)
+                    unit = unit * ring.monomial([-x for x in shift],
+                                                lead ** (-1))
+                    if canon not in factors:
+                        factors.append(canon)
+                    own.append(factors.index(canon))
+                pieces.append((i, d, tuple(num) + (unit,), frozenset(own)))
+        self._d_terms = (pieces, factors)
+        return self._d_terms
 
     def koornwinder_d(self, f):
         """Koornwinder's operator; defined on the symmetric subspace.
 
-        The sum of rational-coefficient shift terms is assembled over one
-        common denominator and the final division must be exact; a
-        nonzero remainder means the input was not in the stable subspace.
+        The reference operator: the sum of rational-coefficient shift
+        terms is assembled over one common denominator and the final
+        division must be exact; a nonzero remainder means the input was
+        not in the stable subspace.  To test the eigen equation of a
+        symmetric polynomial, d_eigen_holds is far cheaper.
         """
         ring = self.ring
-        diffs = [(i, direction, apply_translation(i, f, direction) - f)
-                 for i in range(1, self.n + 1) for direction in (1, -1)]
-        if not any(diff for _, _, diff in diffs):
-            return ring.zero()
-        canon_factors = []   # distinct canonical denominator factors
-        pieces = []          # (numerator, indices of its factors)
-        for i, direction, diff in diffs:
-            num, raw_factors = self._phi_parts(i, direction)
-            unit = ring.one()
-            idxs = []
-            for fac in raw_factors:
-                shift, lead, canon = unit_normalize(fac)
-                unit = unit * ring.monomial(
-                    tuple(-x for x in shift), lead ** (-1))
-                for k, known in enumerate(canon_factors):
-                    if known == canon:
-                        idxs.append(k)
-                        break
-                else:
-                    idxs.append(len(canon_factors))
-                    canon_factors.append(canon)
-            if diff:
-                pieces.append((num * diff * unit, idxs))
+        pieces, factors = self._d_table()
         total = ring.zero()
-        denominator = ring.one()
-        for fac in canon_factors:
-            denominator = denominator * fac
-        for numerator, idxs in pieces:
-            own = set(idxs)
-            for k, fac in enumerate(canon_factors):
+        for i, direction, numerator, own in pieces:
+            term = apply_translation(i, f, direction) - f
+            if not term:
+                continue
+            for p in numerator:
+                term = term * p
+            for k, fac in enumerate(factors):
                 if k not in own:
-                    numerator = numerator * fac
-            total = total + numerator
+                    term = term * fac
+            total = total + term
         if not total:
             return ring.zero()
+        denominator = ring.one()
+        for fac in factors:
+            denominator = denominator * fac
         try:
             return exact_divide(total, denominator)
         except ExactDivisionError:
             raise ValueError(
                 "input is not in the stable (symmetric) subspace") from None
+
+    def d_eigen_holds(self, f, lam):
+        """Whether D f == E(lam) f, for a W0-invariant Laurent polynomial f.
+
+        Decided exactly on a grid of (d+1)^n points, d the largest
+        |exponent| of any variable in f, with no polynomial division.  The
+        residual R = D f - E(lam) f is W0-invariant, since D commutes with
+        W0 (which permutes its 2n shift terms), and by the triangularity
+        of D on symmetric Laurent polynomials (Koornwinder, Contemp. Math.
+        138, 1992, section 5) no exponent of R exceeds d in absolute
+        value.  Being invariant under every x_i -> 1/x_i, R is a
+        polynomial of degree <= d in each z_i = x_i + 1/x_i, and z is
+        injective on x > 1.  So R vanishes identically once it vanishes on
+        S_1 x ... x S_n for any sets S_i of d+1 integers >= 2 (Alon,
+        Combin. Probab. Comput. 8, 1999, Lemma 2.1).  The S_i are pairwise
+        disjoint and avoid the roots of 1 - q x^{+-2}, so no denominator
+        factor of D vanishes on the grid, and each point tests
+        R * prod(factors) = 0.  The equation is linear in f, so it is
+        checked on f with its coefficient denominators cleared.
+        """
+        dom, n = self.domain, self.n
+        if any(apply_simple_reflection(i, f) != f for i in range(1, n + 1)):
+            raise ValueError("input is not W0-invariant")
+        eigenvalue = self.d_eigenvalue(lam)
+        if not f:
+            return True
+        f = f.scale(dom.common_denominator(f.terms.values()))
+        pieces, factors = self._d_table()
+        shifted = [(apply_translation(i, f, d), numerator, own)
+                   for i, d, numerator, own in pieces]
+        degree = max(abs(k) for e in f.terms for k in e)
+        for point in itertools.product(*self._grid_sets(degree)):
+            values = [fac.evaluate(point) for fac in factors]
+            fx = f.evaluate(point)
+            total = -eigenvalue
+            for v in values:
+                total = total * v
+            total = total * fx
+            for g, numerator, own in shifted:
+                weight = dom.one
+                for p in numerator:
+                    weight = weight * p.evaluate(point)
+                for k, v in enumerate(values):
+                    if k not in own:
+                        weight = weight * v
+                total = total + weight * (g.evaluate(point) - fx)
+            if total:
+                return False
+        return True
+
+    def _grid_sets(self, degree):
+        """n pairwise disjoint lists of degree + 1 integers >= 2, drawn in
+        increasing order, skipping every x with 1 - q x^2 = 0 or
+        1 - q x^-2 = 0 (as Fractions, so negative powers stay exact)."""
+        q = self.domain.q
+        pool = (Fraction(x) for x in itertools.count(2)
+                if q * (x * x) != 1 and q != x * x)
+        return [[next(pool) for _ in range(degree + 1)]
+                for _ in range(self.n)]
 
     def d_eigenvalue(self, lam):
         """Eigenvalue of the q-difference operator on the partition lam."""

@@ -162,7 +162,16 @@ class KoornwinderFamily:
         """The monic symmetric eigenpolynomial of a partition.
 
         Verified on construction: invariance under the finite generators
-        and the q-difference operator eigenvalue equation.
+        s_1..s_n, then Koornwinder's eigenvalue equation D P = E(lam) P,
+        tested exactly on a grid of (d+1)^n integer points, d the largest
+        |exponent| of any variable in P (NoumiRepresentation.d_eigen_holds).
+        The grid proves the identity: D commutes with W0, so D P - E P is
+        W0-invariant, and by the triangularity of D (Koornwinder, Contemp.
+        Math. 138, 1992, section 5) none of its exponents exceeds d in
+        absolute value.  It is therefore a polynomial of degree <= d in
+        each z_i = x_i + 1/x_i, and one that vanishes on a product of
+        sets of d+1 distinct z-values is zero (Alon, Combin. Probab.
+        Comput. 8, 1999, Lemma 2.1).
         """
         lam = tuple(int(x) for x in lam)
         if not weyl.is_partition(lam):
@@ -180,7 +189,7 @@ class KoornwinderFamily:
         for i in range(1, self.n + 1):
             if apply_simple_reflection(i, poly) != poly:
                 raise AssertionError("symmetrizer image is not invariant")
-        if self.rep.koornwinder_d(poly) != poly * self.rep.d_eigenvalue(lam):
+        if not self.rep.d_eigen_holds(poly, lam):
             raise AssertionError(
                 "symmetric polynomial fails its eigenvalue equation")
         labeled = LabeledPolynomial(label=lam, poly=poly, spectrum=base.spectrum)
@@ -221,7 +230,10 @@ class KoornwinderFamily:
     # -- disk cache -------------------------------------------------------------
 
     def _cache_path(self, alpha):
+        # a change of the entry format bumps "schema", so that files in
+        # the old format become misses instead of being read as truth
         key = json.dumps({
+            "schema": 1,
             "n": self.n,
             "alpha": list(alpha),
             "mode": self.domain.mode,

@@ -2,8 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from koornwinder import weyl
+from koornwinder.domains import SpecializedDomain
 from koornwinder.laurent import (LaurentRing, ExactDivisionError,
                                  apply_simple_reflection, apply_translation,
                                  exact_divide, unit_normalize)
@@ -173,3 +175,41 @@ def test_symbolic_json_round_trip(symbolic):
     assert ring.from_json(blob) == f
     with pytest.raises(ValueError):
         LaurentRing(3, symbolic).from_json(blob)
+
+
+# -- exact division, property-based -------------------------------------------
+
+division_settings = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+@st.composite
+def laurent_pairs(draw):
+    """(f, g, e) in a ring of rank 1 to 3 over the default specialization:
+    f and g with small support and rational coefficients, g nonzero, and
+    an exponent vector e."""
+    n = draw(st.integers(1, 3))
+    ring = LaurentRing(n, SpecializedDomain())
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    f = ring.from_terms(draw(st.dictionaries(exps, coeffs, max_size=4)))
+    g = ring.from_terms(draw(st.dictionaries(exps, coeffs.filter(bool),
+                                             min_size=1, max_size=3)))
+    return f, g, draw(exps)
+
+
+@division_settings
+@given(laurent_pairs())
+def test_exact_divide_recovers_the_cofactor(pair):
+    f, g, _ = pair
+    assert exact_divide(f * g, g) == f
+
+
+@division_settings
+@given(laurent_pairs())
+def test_exact_divide_rejects_a_remainder(pair):
+    # the units of a Laurent ring are the monomials, so x^e is divisible
+    # by g, and f*g + x^e is, only when g is one
+    f, g, e = pair
+    assume(len(g.terms) > 1)
+    with pytest.raises(ExactDivisionError):
+        exact_divide(f * g + g.ring.monomial(e), g)

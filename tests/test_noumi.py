@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -269,3 +271,92 @@ def test_three_parameter_degeneration_quick():
     domain = SpecializedDomain(Assignment.three_parameter())
     report = check_daha_relations(2, 1, domain)
     assert all(r["status"] == "pass" for r in report)
+
+
+# -- the grid check of the D eigen equation -----------------------------------
+
+def _orbit_sum(ring, mu):
+    """m_mu: the sum of the distinct x^w(mu) over the signed permutations w."""
+    exps = {tuple(s * k for s, k in zip(signs, perm))
+            for perm in itertools.permutations(mu)
+            for signs in itertools.product((1, -1), repeat=len(mu))}
+    out = ring.zero()
+    for e in exps:
+        out = out + ring.monomial(e)
+    return out
+
+
+def _true_eigen(rep, poly, lam):
+    return rep.koornwinder_d(poly) == poly * rep.d_eigenvalue(lam)
+
+
+@pytest.mark.parametrize("n, weight", [(1, 6), (2, 4), (3, 3)])
+def test_d_eigen_holds_agrees_with_reference_specialized(n, weight):
+    family = KoornwinderFamily(n, SpecializedDomain())
+    rep = family.rep
+    for lam in weyl.partitions_up_to(n, weight):
+        poly = family.symmetric(lam).poly
+        assert rep.d_eigen_holds(poly, lam) == _true_eigen(rep, poly, lam)
+        assert rep.d_eigen_holds(poly, lam)
+
+
+@pytest.mark.parametrize("n, labels", [(1, [(0,), (1,), (2,), (3,)]),
+                                       (2, [(1, 0)])])
+def test_d_eigen_holds_agrees_with_reference_symbolic(symbolic, n, labels):
+    family = KoornwinderFamily(n, symbolic)
+    rep = family.rep
+    for lam in labels:
+        poly = family.symmetric(lam).poly
+        assert rep.d_eigen_holds(poly, lam) == _true_eigen(rep, poly, lam)
+        assert rep.d_eigen_holds(poly, lam)
+
+
+@pytest.mark.parametrize("n, weight", [(1, 4), (2, 3), (3, 2)])
+def test_d_eigen_holds_rejects_perturbations(n, weight):
+    family = KoornwinderFamily(n, SpecializedDomain())
+    rep, ring, dom = family.rep, family.ring, family.domain
+    for lam in weyl.partitions_up_to(n, weight):
+        if not any(lam):
+            continue    # constants are D-eigen for every added constant
+        poly = family.symmetric(lam).poly
+        d = lam[0]
+        # every W0-invariant perturbation that keeps the degree bound d
+        for mu in weyl.partitions_up_to(n, n * d):
+            if mu[0] > d:
+                continue
+            bad = poly + _orbit_sum(ring, mu).scale(Fraction(3, 7))
+            assert not rep.d_eigen_holds(bad, lam), (lam, mu)
+        # the true polynomial against another eigenvalue
+        other = (lam[0] + 1,) + lam[1:]
+        assert rep.d_eigenvalue(other) != rep.d_eigenvalue(lam)
+        assert not rep.d_eigen_holds(poly, other)
+
+
+def test_d_eigen_holds_requires_invariance(rep2):
+    with pytest.raises(ValueError):
+        rep2.d_eigen_holds(rep2.ring.gen(1), (1, 0))
+
+
+def test_grid_sets_are_disjoint_and_pole_free():
+    for q_sqrt in (Fraction(1, 2), 2, 3):
+        dom = SpecializedDomain(Assignment.make((q_sqrt, 3, 5, 7, 11, 13)))
+        rep = NoumiRepresentation(LaurentRing(3, dom))
+        sets = rep._grid_sets(2)
+        assert [len(s) for s in sets] == [3, 3, 3]
+        points = [x for s in sets for x in s]
+        assert len(set(points)) == len(points) and min(points) >= 2
+        for x in points:
+            assert x.denominator == 1
+            assert dom.q * x * x != 1 and dom.q != x * x
+
+
+def test_d_eigen_holds_grid_degree_is_read_from_the_input(monkeypatch):
+    family = KoornwinderFamily(3, SpecializedDomain())
+    rep = family.rep
+    poly = family.symmetric((2, 1, 0)).poly
+    seen = []
+    grid_sets = rep._grid_sets
+    monkeypatch.setattr(rep, "_grid_sets",
+                        lambda degree: seen.append(degree) or grid_sets(degree))
+    assert rep.d_eigen_holds(poly, (2, 1, 0))
+    assert seen == [2]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -217,3 +219,46 @@ def test_raw_chain_prefix_reuse(fam2):
     assert any(p in cached_points for p in points[:-1])
     lab = fam2.nonsymmetric((2, 1))
     assert fam2.verify_spectrum(lab)
+
+
+def test_symmetric_never_calls_the_reference_operator(monkeypatch, symbolic):
+    def refuse(f):
+        raise RuntimeError("koornwinder_d called")
+    cases = [(KoornwinderFamily(n, SpecializedDomain()),
+              [(2,) + (0,) * (n - 1), (1,) * n]) for n in (1, 2, 3, 4)]
+    cases.append((KoornwinderFamily(2, symbolic), [(1, 0)]))
+    for family, labels in cases:
+        monkeypatch.setattr(family.rep, "koornwinder_d", refuse)
+        for lam in labels:
+            assert family.symmetric(lam).poly.coefficient(lam) == 1
+
+
+@pytest.mark.parametrize("q_sqrt", [Fraction(1, 2), 3])
+def test_symmetric_where_small_integers_are_poles(q_sqrt):
+    # q = 1/4 puts a zero of 1 - q x^2 at x = 2, and q = 9 one of
+    # 1 - q x^-2 at x = 3: the grid must step over them
+    dom = SpecializedDomain(Assignment.make((q_sqrt, 3, 5, 7, 11, 13)))
+    for lam in [(2, 1), (1, 1, 0)]:
+        family = KoornwinderFamily(len(lam), dom)
+        rep = family.rep
+        poly = family.symmetric(lam).poly
+        assert rep.koornwinder_d(poly) == poly * rep.d_eigenvalue(lam)
+        # and the check still rejects a wrong polynomial there
+        assert not rep.d_eigen_holds(poly + family.ring.one(), lam)
+
+
+def test_disk_cache_entry_under_the_unversioned_key_is_a_miss(tmp_path,
+                                                              specialized):
+    expected = KoornwinderFamily(2, specialized).nonsymmetric((1, 0))
+    # an entry under the key used before keys carried a schema number,
+    # with a coefficient that would be served as truth if it were read
+    entry = expected.to_json()
+    entry["terms"][0]["coeff"] = "12345/7"
+    old_key = json.dumps({"n": 2, "alpha": [1, 0], "mode": "specialized",
+                          "assignment": specialized.assignment.as_strings()},
+                         sort_keys=True)
+    digest = hashlib.sha256(old_key.encode()).hexdigest()
+    (tmp_path / (digest + ".json")).write_text(json.dumps(entry))
+    fam = KoornwinderFamily(2, specialized, cache_dir=str(tmp_path))
+    assert fam._disk_read((1, 0)) is None
+    assert fam.nonsymmetric((1, 0)).poly == expected.poly
