@@ -18,8 +18,8 @@ from .laurent import (LaurentRing, LaurentPolynomial, ExactDivisionError,
 from .weyl import (SignedPermutation, affine_action, functional_action,
                    w_alpha, spectral_vector, chain_to, enumerate_W0)
 from .noumi import NoumiRepresentation, check_daha_relations
-from .intertwine import (apply_intertwiner, intertwiner_square_scalar,
-                         check_intertwining)
+from .intertwine import (apply_intertwiner, spectral_intertwiner,
+                         intertwiner_square_scalar, check_intertwining)
 from .oracle import EigenOracle
 from .polynomials import (KoornwinderFamily, LabeledPolynomial,
                           NonGenericParametersError)
@@ -35,7 +35,8 @@ __all__ = [
     "SignedPermutation", "affine_action", "functional_action",
     "w_alpha", "spectral_vector", "chain_to", "enumerate_W0",
     "NoumiRepresentation", "check_daha_relations",
-    "apply_intertwiner", "intertwiner_square_scalar", "check_intertwining",
+    "apply_intertwiner", "spectral_intertwiner", "intertwiner_square_scalar",
+    "check_intertwining",
     "EigenOracle",
     "KoornwinderFamily", "LabeledPolynomial", "NonGenericParametersError",
     "DualityChecker",

@@ -2,9 +2,12 @@
 
 S_i = [T_i, Y_i] for the finite generators and S_0 = [Y_1, U_n]; applied
 to a joint Y-eigenvector for the point alpha they produce one for
-s_i . alpha.  The square of each S_i acts on an eigenspace by an explicit
-scalar in the eigenvalues, which is what makes the chain construction of
-the nonsymmetric polynomials invertible step by step.
+s_i . alpha.  On such an eigenvector each S_i reduces to one T plus a
+scalar multiple of the input (spectral_intertwiner); the literal
+commutator stays as the reference.  The square of each S_i acts on an
+eigenspace by an explicit scalar in the eigenvalues, which is what makes
+the chain construction of the nonsymmetric polynomials invertible step
+by step.
 """
 
 from __future__ import annotations
@@ -19,6 +22,63 @@ def apply_intertwiner(rep, i, f):
     if not 1 <= i <= rep.n:
         raise ValueError("intertwiner index out of range: %r" % (i,))
     return rep.t(i, rep.y(i, f)) - rep.y(i, rep.t(i, f))
+
+
+def _g(tau):
+    return tau - tau ** (-1)
+
+
+def spectral_intertwiner(rep, i, spec, f):
+    """S_i f for a joint Y-eigenvector f, Y_j f = spec[j-1] f, with one T.
+
+    Equal to apply_intertwiner(rep, i, f) on such f.  Write y = spec and
+    g(tau) = tau - 1/tau, so that a generator H with parameter tau obeys
+    H - H^-1 = g(tau): T_i with t_i^(1/2), U_0 with u0^(1/2) and U_n
+    with un^(1/2) (quadratic relations that the relation suite and the
+    acceptance tests check).  The three identities below are the
+    Bernstein-Lusztig relations of the Y-side affine Hecke algebra
+    (Noumi 1995; Sahi, Ann. Math. 150, 1999), derived from these:
+
+    * 0 < i < n.  The Y words give Y_i = T_i Y_{i+1} T_i, so
+      Y_i T_i = Y_i (T_i^-1 + g(t^(1/2))) = T_i Y_{i+1} + g(t^(1/2)) Y_i
+      and S_i f = T_i Y_i f - Y_i T_i f
+      = (y_i - y_{i+1}) T_i f - g(t^(1/2)) y_i f.
+    * i = n.  Y_n = T_n V with V = T_{n-1}..T_1 T_0 T_1^-1..T_{n-1}^-1,
+      a conjugate of T_0, so T_n^-1 Y_n - Y_n^-1 T_n = V - V^-1
+      = g(t0^(1/2)).  Multiplying by Y_n on the left and applying it to
+      f gives y_n Y_n T_n^-1 f = T_n f + g(t0^(1/2)) y_n f; with
+      T_n^-1 = T_n - g(tn^(1/2)) this is
+      Y_n T_n f = y_n^-1 T_n f + (g(tn^(1/2)) y_n + g(t0^(1/2))) f, so
+      S_n f = (y_n - y_n^-1) T_n f - (g(tn^(1/2)) y_n + g(t0^(1/2))) f.
+    * i = 0.  From U_n = X_1^-1 T_0 Y_1^-1 and U_0 = q^(-1/2) T_0^-1 X_1,
+      U_0 = q^(-1/2) Y_1^-1 U_n^-1, and U_0 - U_0^-1 = g(u0^(1/2)) reads
+      q^(-1/2) Y_1^-1 U_n^-1 - q^(1/2) U_n Y_1 = g(u0^(1/2)).
+      Multiplying by Y_1 on the left, applying it to f and using
+      U_n^-1 = U_n - g(un^(1/2)) gives
+      Y_1 U_n f = q^-1 y_1^-1 U_n f
+                  - (q^(-1/2) g(u0^(1/2)) + q^-1 y_1^-1 g(un^(1/2))) f,
+      so S_0 f = Y_1 U_n f - U_n Y_1 f = (q^-1 y_1^-1 - y_1) U_n f
+      - (q^(-1/2) g(u0^(1/2)) + q^-1 y_1^-1 g(un^(1/2))) f,
+      where U_n f = y_1^-1 X_1^-1 T_0 f.
+    """
+    dom, n = rep.domain, rep.n
+    if i == 0:
+        y1_inv = spec[0] ** (-1)
+        shifted = dom.q_pow(-1) * y1_inv
+        lead = (shifted - spec[0]) * y1_inv
+        rest = (dom.q_sqrt ** (-1) * _g(dom.u0_sqrt)
+                + shifted * _g(dom.un_sqrt))
+        return rep.x(1, rep.t(0, f), -1) * lead - f * rest
+    if i == n:
+        yn = spec[-1]
+        lead = yn - yn ** (-1)
+        rest = _g(dom.tn_sqrt) * yn + _g(dom.t0_sqrt)
+    elif 0 < i < n:
+        lead = spec[i - 1] - spec[i]
+        rest = _g(dom.t_sqrt) * spec[i - 1]
+    else:
+        raise ValueError("intertwiner index out of range: %r" % (i,))
+    return rep.t(i, f) * lead - f * rest
 
 
 def intertwiner_square_scalar(rep, i, spec):

@@ -107,8 +107,10 @@ def _full_reduce(num, den):
 def _normalize(num, den, reduce=False):
     """Canonical form of num/den, given without zero coefficients.
 
-    The full gcd reduction runs when reduce is set or either side has
-    more than GCD_TERM_THRESHOLD terms.
+    The full gcd reduction runs when reduce is set, or when either side
+    has more than GCD_TERM_THRESHOLD terms and neither has just one: once
+    the common monomial and content are stripped, a one-term side has
+    only unit divisors in common with the other.
     """
     if not den:
         raise ZeroDivisionError("field element with zero denominator")
@@ -116,7 +118,8 @@ def _normalize(num, den, reduce=False):
         return _RING.zero, _ONE
     num, den = _strip_monomial(num, den)
     num, den = _strip_content(num, den)
-    if reduce or max(len(num), len(den)) > GCD_TERM_THRESHOLD:
+    if reduce or (max(len(num), len(den)) > GCD_TERM_THRESHOLD
+                  and min(len(num), len(den)) > 1):
         num, den = _full_reduce(num, den)
     if den.LC < 0:
         num, den = -num, -den

@@ -2,8 +2,12 @@
 
 The nonsymmetric polynomial attached to a lattice point is built by
 applying intertwiners along a generator chain from the origin and then
-normalizing the coefficient at its own label to one; the symmetric one
-is the symmetrizer image of the nonsymmetric polynomial at a partition.
+normalizing the coefficient at its own label to one.  Every chain
+state is a joint Y-eigenvector with a known spectrum, so each step
+applies the intertwiner in its spectral form, one T plus a scalar
+multiple of the state; nonsymmetric_via_chain keeps the literal
+commutator.  The symmetric one is the symmetrizer image of the
+nonsymmetric polynomial at a partition.
 Raw chain states are cached by the lattice point reached (they are well
 defined up to a scalar, which the final normalization removes), so
 chains to nearby points share work.
@@ -18,7 +22,7 @@ import tempfile
 from dataclasses import dataclass
 
 from . import weyl
-from .intertwine import apply_intertwiner
+from .intertwine import apply_intertwiner, spectral_intertwiner
 from .laurent import LaurentRing, LaurentPolynomial, apply_simple_reflection
 from .noumi import NoumiRepresentation, monomial_exponents
 from .oracle import EigenOracle, matrix_rank
@@ -93,28 +97,22 @@ class KoornwinderFamily:
         if cached is not None:
             return cached
         word = weyl.chain_to(alpha)
-        points = []
-        v = (0,) * self.n
+        points = [(0,) * self.n]     # points[k] is reached after k letters
         for i in word:
-            v = weyl.affine_action(i, v)
-            points.append(v)
-        start = 0
-        f = self.ring.one()
-        for k in range(len(points) - 1, -1, -1):
+            points.append(weyl.affine_action(i, points[-1]))
+        start, f = 0, self.ring.one()
+        for k in range(len(word), 0, -1):
             hit = self._raw.get(points[k])
             if hit is not None:
-                start, f = k + 1, hit
+                start, f = k, hit
                 break
-        for point, f in zip(points[start:], self._walk(word[start:], f)):
-            self._raw[point] = f
+        # each state is a joint Y-eigenvector for the point it reached,
+        # so a step costs one T (spectral_intertwiner)
+        for k in range(start, len(word)):
+            spec = weyl.spectral_vector(points[k], self.domain)
+            f = spectral_intertwiner(self.rep, word[k], spec, f)
+            self._raw[points[k + 1]] = f
         return f
-
-    def _walk(self, word, f):
-        """The states reached from f along a chain word (application
-        order), one per letter."""
-        for i in word:
-            f = apply_intertwiner(self.rep, i, f)
-            yield f
 
     def raw_eigenvector(self, alpha):
         """The unnormalized chain output: a nonzero scalar multiple of the
@@ -125,11 +123,12 @@ class KoornwinderFamily:
 
     def nonsymmetric_via_chain(self, word, alpha):
         """Chain-independence hook: build the polynomial along an explicit
-        word (application order), bypassing every cache."""
+        word (application order), bypassing every cache, with each step
+        the literal commutator (the reference for the spectral steps)."""
         alpha = tuple(alpha)
         f = self.ring.one()
-        for f in self._walk(word, f):
-            pass
+        for i in word:
+            f = apply_intertwiner(self.rep, i, f)
         lead = f.coefficient(alpha)
         if not lead:
             raise NonGenericParametersError("chain output misses its label")
@@ -137,7 +136,9 @@ class KoornwinderFamily:
 
     def verify_spectrum(self, labeled):
         """The defining property: Y_i scales the polynomial by the i-th
-        spectral component, for every i.
+        spectral component, for every i.  The chain's spectral steps
+        assume that each state is such an eigenvector; this check proves
+        it for the output.
 
         The eigen equations are invariant under scalar multiples, so they
         are checked on the raw chain state (whose symbolic coefficients

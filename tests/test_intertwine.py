@@ -3,10 +3,12 @@ import random
 import pytest
 
 from koornwinder import weyl
+from koornwinder.domains import make_domain
 from koornwinder.intertwine import (apply_intertwiner, check_intertwining,
-                                    intertwiner_square_scalar, y_exponential)
+                                    intertwiner_square_scalar,
+                                    spectral_intertwiner, y_exponential)
 from koornwinder.laurent import LaurentRing
-from koornwinder.noumi import NoumiRepresentation
+from koornwinder.noumi import NoumiRepresentation, monomial_exponents
 
 from conftest import random_laurent
 
@@ -127,6 +129,30 @@ def test_square_scalar_rank_three(specialized):
             assert twice == vec * scalar, (alpha, i)
 
 
+@pytest.mark.parametrize("mode, n, weight", [
+    ("specialized", 1, 4), ("specialized", 2, 3), ("specialized", 3, 2),
+    ("symbolic", 1, 3), ("symbolic", 2, 1)])
+def test_spectral_step_equals_literal_commutator(mode, n, weight):
+    # joint eigenvectors from literal chains, times a random scalar; the
+    # spectral form of every S_i must agree with the commutator, and both
+    # vanish exactly where s_i fixes the point (S_1 and S_2 on 1 at n = 2)
+    rep = NoumiRepresentation(LaurentRing(n, make_domain(mode)))
+    dom = rep.domain
+    rng = random.Random(n)
+    scalars = (dom.one, dom.q_sqrt, dom.t0 - dom.u0, dom.from_int(-3))
+    for alpha in monomial_exponents(n, weight):
+        f = rep.ring.one()
+        for i in weyl.chain_to(alpha):
+            f = apply_intertwiner(rep, i, f)
+        f = f * rng.choice(scalars)
+        spec = weyl.spectral_vector(alpha, dom)
+        for i in range(n + 1):
+            literal = apply_intertwiner(rep, i, f)
+            assert spectral_intertwiner(rep, i, spec, f) == literal, (alpha, i)
+            fixed = weyl.affine_action(i, alpha) == alpha
+            assert (not literal) == fixed, (alpha, i)
+
+
 def test_y_exponential_sign_convention(rep1):
     # Y^(0 + 1*d) multiplies by q, mirroring x^(0 + 1*d) = q^{-1}
     one = rep1.ring.one()
@@ -137,5 +163,7 @@ def test_y_exponential_sign_convention(rep1):
 def test_intertwiner_index_validation(rep2):
     with pytest.raises(ValueError):
         apply_intertwiner(rep2, 5, rep2.ring.one())
+    with pytest.raises(ValueError):
+        spectral_intertwiner(rep2, 3, (rep2.domain.one,) * 2, rep2.ring.one())
     with pytest.raises(ValueError):
         intertwiner_square_scalar(rep2, -1, (rep2.domain.one, rep2.domain.one))

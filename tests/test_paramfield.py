@@ -157,6 +157,37 @@ def test_gcd_threshold_reduction():
     assert x.num == pf.SQRT_Q.num  # reduction actually fired
 
 
+def test_gcd_skipped_on_a_one_term_side(monkeypatch):
+    # a large numerator over a monomial times an integer: once the common
+    # monomial and content are stripped, the gcd is a unit
+    rng = random.Random(8)
+    big = {}
+    for k in range(80):
+        e = tuple(rng.randint(0, 3) for _ in range(6))
+        big[e] = big.get(e, 0) + rng.randint(1, 4)
+    assert len(big) > pf.GCD_TERM_THRESHOLD
+    calls = []
+    full_reduce = pf._full_reduce
+
+    def counting(num, den):
+        calls.append(1)
+        return full_reduce(num, den)
+
+    monkeypatch.setattr(pf, "_full_reduce", counting)
+    for den in ({(0, 1, 0, 2, 0, 0): 6}, {(1, 0, 0, 0, 0, 3): -4}):
+        x = FieldElement(big, den)
+        y = FieldElement(den, big)
+        assert not calls
+        for z in (x, y):
+            reduced = z.canonical()
+            assert z.num == reduced.num and z.den == reduced.den
+        assert len(calls) == 2
+        calls.clear()
+    # both sides long: the reduction still runs
+    FieldElement(big, {e: 1 for e in big})
+    assert len(calls) == 1
+
+
 def test_gcd_falls_back_when_the_heuristic_fails(monkeypatch):
     from sympy.polys.polyerrors import HeuristicGCDFailed
     from sympy.polys.rings import PolyElement

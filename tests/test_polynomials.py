@@ -71,6 +71,12 @@ def test_chain_independence(fam1, fam2):
     std = fam2.nonsymmetric((1, 0)).poly
     alt = fam2.nonsymmetric_via_chain((0, 0, 0, 1, 2, 1), (1, 0))
     assert std == alt
+    # the same chain word with literal steps (nonsymmetric_via_chain) and
+    # spectral steps (nonsymmetric)
+    for fam, weight in ((fam1, 3), (fam2, 2)):
+        for alpha in monomial_exponents(fam.n, weight):
+            literal = fam.nonsymmetric_via_chain(weyl.chain_to(alpha), alpha)
+            assert literal == fam.nonsymmetric(alpha).poly, alpha
 
 
 def test_basis_checks(fam1, fam2):
