@@ -245,6 +245,11 @@ def _cmd_specialize(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a request over no variables or a negative weight would pass vacuously
+    for name, low in (("n", 1), ("degree", 0), ("max_weight", 0)):
+        if getattr(args, name, low) < low:
+            parser.error("--%s must be at least %d"
+                         % (name.replace("_", "-"), low))
     try:
         if args.command == "compute-e":
             return _cmd_compute(args, symmetric=False)

@@ -144,9 +144,6 @@ class SymbolicDomain(_BaseDomain):
     def from_int(self, k):
         return FieldElement.from_int(k)
 
-    def compact(self, v):
-        return v.canonical()
-
     def complexity(self, v):
         return len(v.num) + len(v.den)
 
@@ -158,20 +155,11 @@ class SymbolicDomain(_BaseDomain):
             den = den.lcm(v.den)
         return FieldElement(den)
 
-    def star_domain(self):
-        return self
-
-    def star_scalar(self, v):
-        return v.star()
-
     def encode_scalar(self, v):
         return v.to_json_value()
 
     def decode_scalar(self, obj):
         return FieldElement.from_json_value(obj)
-
-    def describe(self):
-        return {"mode": "symbolic", "assignment": None}
 
 
 class SpecializedDomain(_BaseDomain):
@@ -190,9 +178,6 @@ class SpecializedDomain(_BaseDomain):
     def from_int(self, k):
         return Fraction(k)
 
-    def compact(self, v):
-        return v
-
     def complexity(self, v):
         return v.numerator.bit_length() + v.denominator.bit_length()
 
@@ -203,20 +188,12 @@ class SpecializedDomain(_BaseDomain):
     def star_domain(self):
         return SpecializedDomain(self.assignment.star())
 
-    def star_scalar(self, v):
-        raise RuntimeError(
-            "star of a specialized scalar is undefined; recompute under "
-            "the star-transformed assignment instead")
-
     def encode_scalar(self, v):
         v = Fraction(v)
         return v.numerator if v.denominator == 1 else str(v)
 
     def decode_scalar(self, obj):
         return Fraction(obj)
-
-    def describe(self):
-        return {"mode": "specialized", "assignment": self.assignment.as_strings()}
 
 
 def make_domain(mode, assignment=None):

@@ -119,8 +119,7 @@ class DualityChecker:
     def _check_duality(self, kind, left, right):
         """star(pairing(left, right)) == pairing(right, left)."""
         if self.symbolic:
-            lhs = self.family.domain.star_scalar(
-                self._pairing(kind, left, right, False))
+            lhs = self._pairing(kind, left, right, False).star()
         else:
             lhs = self._pairing(kind, left, right, True)
         return lhs == self._pairing(kind, right, left, False)

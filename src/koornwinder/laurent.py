@@ -153,12 +153,6 @@ class LaurentPolynomial:
             return NotImplemented
         return self.ring.n == other.ring.n and self.terms == other.terms
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __bool__(self):
         return bool(self.terms)
 

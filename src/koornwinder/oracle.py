@@ -14,15 +14,13 @@ from . import weyl
 from .noumi import monomial_exponents
 
 
-def _row_echelon(rows, ncols, domain=None):
+def _row_echelon(rows, ncols, domain):
     """In-place reduced row echelon form; returns the pivot column list.
 
-    Pivots are chosen by coefficient size and updated entries are kept
-    fully reduced (when the domain provides the hooks); over rational
-    function fields the elimination explodes otherwise.
+    Pivots are chosen by coefficient size (domain.complexity); over
+    rational function fields the elimination explodes otherwise.
     """
-    compact = domain.compact if domain is not None else (lambda v: v)
-    complexity = domain.complexity if domain is not None else (lambda v: 0)
+    complexity = domain.complexity
     pivots = []
     r = 0
     for c in range(ncols):
@@ -37,11 +35,11 @@ def _row_echelon(rows, ncols, domain=None):
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = rows[r][c] ** (-1)
-        rows[r] = [compact(v * inv) if v else v for v in rows[r]]
+        rows[r] = [v * inv if v else v for v in rows[r]]
         for k in range(len(rows)):
             if k != r and rows[k][c]:
                 factor = rows[k][c]
-                rows[k] = [compact(a - factor * b) if b else a
+                rows[k] = [a - factor * b if b else a
                            for a, b in zip(rows[k], rows[r])]
         pivots.append(c)
         r += 1
@@ -50,7 +48,7 @@ def _row_echelon(rows, ncols, domain=None):
     return pivots
 
 
-def matrix_rank(rows, domain=None):
+def matrix_rank(rows, domain):
     if not rows:
         return 0
     work = [list(r) for r in rows]

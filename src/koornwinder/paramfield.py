@@ -139,6 +139,25 @@ def _element(num, den, reduce=False):
     return out
 
 
+def _terms_from_json(pairs):
+    """The exponent dictionary of one side of FieldElement.to_json_obj."""
+    if not isinstance(pairs, list):
+        raise ValueError("field element num and den must be lists")
+    out = {}
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and type(pair[0]) in (int, str)
+                and isinstance(pair[1], list) and len(pair[1]) == _N
+                and all(type(x) is int for x in pair[1])):
+            raise ValueError("field element term must be [integer, six int "
+                             "exponents], got %r" % (pair,))
+        e = tuple(pair[1])
+        if e in out:
+            raise ValueError("repeated exponent in field element JSON")
+        out[e] = int(pair[0])
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 class FieldElement:
@@ -269,12 +288,6 @@ class FieldElement:
         # cross multiplication; no reliance on canonical gcd reduction
         return self.num * other.den == other.num * self.den
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __bool__(self):
         return bool(self.num)
 
@@ -334,10 +347,17 @@ class FieldElement:
 
     @classmethod
     def from_json_value(cls, obj):
-        if isinstance(obj, int):
+        """Inverse of to_json_value.  The input is untrusted: anything but
+        an int, or an object whose num and den are lists of
+        [integer, six int exponents] pairs, raises ValueError."""
+        if type(obj) is int:
             return cls.from_int(obj)
-        num = {tuple(e): int(c) for c, e in obj["num"]}
-        den = {tuple(e): int(c) for c, e in obj["den"]}
+        if not isinstance(obj, dict):
+            raise ValueError("field element JSON must be an int or an object")
+        num = _terms_from_json(obj.get("num"))
+        den = _terms_from_json(obj.get("den"))
+        if not any(den.values()):
+            raise ValueError("field element JSON has a zero denominator")
         return cls(num, den)
 
     def __repr__(self):

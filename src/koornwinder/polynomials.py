@@ -164,15 +164,8 @@ class KoornwinderFamily:
 
         Verified on construction: invariance under the finite generators
         s_1..s_n, then Koornwinder's eigenvalue equation D P = E(lam) P,
-        tested exactly on a grid of (d+1)^n integer points, d the largest
-        |exponent| of any variable in P (NoumiRepresentation.d_eigen_holds).
-        The grid proves the identity: D commutes with W0, so D P - E P is
-        W0-invariant, and by the triangularity of D (Koornwinder, Contemp.
-        Math. 138, 1992, section 5) none of its exponents exceeds d in
-        absolute value.  It is therefore a polynomial of degree <= d in
-        each z_i = x_i + 1/x_i, and one that vanishes on a product of
-        sets of d+1 distinct z-values is zero (Alon, Combin. Probab.
-        Comput. 8, 1999, Lemma 2.1).
+        decided exactly on a grid of integer points; the docstring of
+        NoumiRepresentation.d_eigen_holds proves that the grid suffices.
         """
         lam = tuple(int(x) for x in lam)
         if not weyl.is_partition(lam):

@@ -30,11 +30,6 @@ def _report(number, description, ok):
     assert ok, "criterion %s failed: %s" % (number, description)
 
 
-def _partitions(n, max_weight):
-    return [e for e in monomial_exponents(n, max_weight)
-            if all(x >= 0 for x in e) and list(e) == sorted(e, reverse=True)]
-
-
 def test_criterion_1_relation_suite():
     start = time.time()
     ok = True
@@ -143,7 +138,7 @@ def test_criterion_5_symmetric_construction():
     for n in (1, 2):
         family = KoornwinderFamily(n, SpecializedDomain())
         rep = family.rep
-        for lam in _partitions(n, 4):
+        for lam in weyl.partitions_up_to(n, 4):
             labeled = family.symmetric(lam)
             poly = labeled.poly
             ok &= poly.coefficient(lam) == 1
@@ -156,7 +151,7 @@ def test_criterion_5_symmetric_construction():
         dom = SymbolicDomain()
         rep = NoumiRepresentation(LaurentRing(n, dom))
         rho = weyl.spectral_vector((0,) * n, dom)
-        for lam in _partitions(n, 4):
+        for lam in weyl.partitions_up_to(n, 4):
             total = dom.zero
             for i in range(n):
                 val = dom.q_pow(lam[i]) * rho[i]
@@ -175,8 +170,8 @@ def test_criterion_6_duality():
     for a in labels1:
         for b in labels1:
             ok &= sym.check_duality_e(a, b)
-    for lam in _partitions(1, 2):
-        for mu in _partitions(1, 2):
+    for lam in weyl.partitions_up_to(1, 2):
+        for mu in weyl.partitions_up_to(1, 2):
             ok &= sym.check_duality_p(lam, mu)
             ok &= sym.check_evaluation_ratio(lam, mu)
     paired = DualityChecker(KoornwinderFamily(2, SpecializedDomain()))
@@ -184,8 +179,8 @@ def test_criterion_6_duality():
     for a in labels2:
         for b in labels2:
             ok &= paired.check_duality_e(a, b)
-    for lam in _partitions(2, 3):
-        for mu in _partitions(2, 3):
+    for lam in weyl.partitions_up_to(2, 3):
+        for mu in weyl.partitions_up_to(2, 3):
             ok &= paired.check_duality_p(lam, mu)
             ok &= paired.check_evaluation_ratio(lam, mu)
     elapsed = time.time() - start

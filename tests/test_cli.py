@@ -119,6 +119,20 @@ def test_specialize_stdin_value(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["value"] == "91"
 
 
+@pytest.mark.parametrize("payload", [
+    {"num": [["1", [0, 0]]], "den": [["1", [0, 0, 0, 0, 0, 0]]]},
+    {"num": 5},
+    [1, 2],
+])
+def test_specialize_rejects_malformed_element(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "specialize", "--input", str(path))
+    assert code == 1
+    assert out == ""
+    assert "error" in json.loads(err)
+
+
 def test_cache_dir_and_env(capsys, tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     args = ("compute-e", "--n", "2", "--alpha", "2,0",
@@ -140,6 +154,15 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["compute-e", "--n", "1"])  # missing --alpha
     assert info.value.code == 2
+    # requests that would pass vacuously over zero labels or zero checks
+    for argv in (["compute-e", "--n", "0", "--alpha", "0"],
+                 ["basis-check", "--n", "-1", "--degree", "1"],
+                 ["basis-check", "--n", "1", "--degree", "-1"],
+                 ["check-relations", "--n", "1", "--degree", "-1"],
+                 ["check-duality", "--n", "1", "--max-weight", "-1"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
 
 
 def _only_cache_file(cache):
@@ -162,6 +185,25 @@ def test_truncated_cache_entry_is_recomputed(capsys, tmp_path):
     assert again == cold
     assert path.read_bytes() == full  # rewritten
     assert not list(cache.glob("*.tmp"))
+
+
+def test_cache_entry_with_a_short_exponent_is_recomputed(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    args = ("compute-e", "--n", "1", "--alpha", "1", "--mode", "symbolic",
+            "--cache-dir", str(cache))
+    code, cold, _ = run_cli(capsys, *args)
+    assert code == 0
+    path = _only_cache_file(cache)
+    full = path.read_bytes()
+    entry = json.loads(full)
+    coeff = next(t["coeff"] for t in entry["terms"]
+                 if isinstance(t["coeff"], dict))
+    coeff["num"][0][1] = coeff["num"][0][1][:2]
+    path.write_text(json.dumps(entry))
+    code, again, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert again == cold
+    assert path.read_bytes() == full  # rewritten
 
 
 def test_poisoned_cache_fails_symmetric_check(capsys, tmp_path):

@@ -31,6 +31,13 @@ def test_ring_arithmetic(ring):
         assert f * g == g * f
 
 
+def test_inequality_follows_equality(ring):
+    x1 = ring.gen(1)
+    assert ring.one() != 1
+    assert ring.one() != x1
+    assert not (x1 * x1 != x1 ** 2)
+
+
 def test_exp_monomial(ring):
     d = ring.domain
     assert ring.exp_monomial((1, 0), 1) == ring.monomial((1, 0), d.q_pow(-1))

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from koornwinder.domains import SpecializedDomain
+from koornwinder.domains import SpecializedDomain, SymbolicDomain
 from koornwinder.laurent import LaurentRing
 from koornwinder.noumi import NoumiRepresentation, monomial_exponents
 from koornwinder.oracle import EigenOracle, kernel_basis, matrix_rank
+from koornwinder.paramfield import FieldElement
+from koornwinder.polynomials import KoornwinderFamily
 
 
 def F(x):
@@ -22,10 +24,40 @@ def test_monomial_exponents():
 
 
 def test_matrix_rank():
-    assert matrix_rank([[F(1), F(2)], [F(2), F(4)]]) == 1
-    assert matrix_rank([[F(1), F(0)], [F(0), F(1)]]) == 2
-    assert matrix_rank([[F(0), F(0)]]) == 0
-    assert matrix_rank([]) == 0
+    dom = SpecializedDomain()
+    assert matrix_rank([[F(1), F(2)], [F(2), F(4)]], dom) == 1
+    assert matrix_rank([[F(1), F(0)], [F(0), F(1)]], dom) == 2
+    assert matrix_rank([[F(0), F(0)]], dom) == 0
+    assert matrix_rank([], dom) == 0
+
+
+def test_symbolic_rank_and_kernel():
+    dom = SymbolicDomain()
+    a, b, c = dom.q_sqrt, dom.t0_sqrt + dom.un_sqrt, dom.u0_sqrt - dom.one
+    rows = [[a, b], [a * c, b * c]]
+    assert matrix_rank(rows, dom) == 1
+    basis = kernel_basis(rows, 2, dom)
+    assert len(basis) == 1
+    for row in rows:
+        assert row[0] * basis[0][0] + row[1] * basis[0][1] == 0
+    assert matrix_rank([[a, b], [c, a]], dom) == 2
+    assert kernel_basis([[a, b], [c, a]], 2, dom) == []
+
+
+def test_symbolic_elimination_needs_no_canonical_form(monkeypatch):
+    # equality is by cross multiplication, so the elimination never needs
+    # the full gcd reduction of its entries
+    def refuse(self):
+        raise AssertionError("canonical() called")
+
+    family = KoornwinderFamily(1, SymbolicDomain())
+    chain = {alpha: family.nonsymmetric(alpha).poly
+             for alpha in monomial_exponents(1, 3)}
+    monkeypatch.setattr(FieldElement, "canonical", refuse)
+    assert family.basis_check(3)["invertible"]
+    oracle = family.eigen_oracle(2)
+    for alpha in monomial_exponents(1, 2):
+        assert oracle.joint_eigenvector(alpha) == chain[alpha]
 
 
 def test_kernel_basis():

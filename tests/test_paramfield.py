@@ -219,3 +219,29 @@ def test_json_round_trip():
 def test_unhashable():
     with pytest.raises(TypeError):
         hash(ONE)
+
+
+def test_inequality_follows_equality():
+    assert ONE != "x"
+    assert not (ONE != 1)
+    assert ONE != pf.SQRT_Q
+    assert not (ONE / pf.SQRT_Q != ONE * pf.SQRT_Q ** (-1))
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    {"num": 5},
+    {"num": [["1", [0, 0]]], "den": [["1", [0, 0, 0, 0, 0, 0]]]},
+    {"num": [["1", [0, 0, 0, 0, 0, 0]]]},
+    {"num": [["1", [0, 0, 0, 0, 0, 0]]], "den": []},
+    {"num": [["1.5", [0, 0, 0, 0, 0, 0]]], "den": [["1", [0] * 6]]},
+    {"num": [[1.0, [0, 0, 0, 0, 0, 0]]], "den": [["1", [0] * 6]]},
+    {"num": [["1", [0, 0, 0, 0, 0, 0.5]]], "den": [["1", [0] * 6]]},
+    {"num": [["1", [1, 0, 0, 0, 0, 0]], ["2", [1, 0, 0, 0, 0, 0]]],
+     "den": [["1", [0] * 6]]},
+    True,
+    "1",
+])
+def test_json_decoding_rejects_malformed_input(obj):
+    with pytest.raises(ValueError):
+        FieldElement.from_json_value(obj)
