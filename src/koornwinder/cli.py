@@ -20,13 +20,28 @@ from .duality import DualityChecker
 from .noumi import check_daha_relations, monomial_exponents
 from .paramfield import FieldElement, UnluckySpecializationError
 from .polynomials import KoornwinderFamily, NonGenericParametersError
-from .weyl import partitions_up_to
+from .weyl import is_partition, partitions_up_to
 
 CACHE_ENV_VAR = "KOORNWINDER_CACHE_DIR"
 
 
 def _parse_label(text):
-    return tuple(int(part) for part in text.split(","))
+    """argparse type of --alpha and --lambda: comma-separated integers."""
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % text) from None
+
+
+def _parse_assignment(text):
+    """argparse type of --assignment: six comma-separated nonzero
+    rationals."""
+    try:
+        return Assignment.parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(
+            "invalid assignment %r: %s" % (text, exc)) from None
 
 
 def _add_common(sub, with_mode=True):
@@ -34,7 +49,7 @@ def _add_common(sub, with_mode=True):
     if with_mode:
         sub.add_argument("--mode", choices=("symbolic", "specialized"),
                          default="specialized")
-    sub.add_argument("--assignment", type=str, default=None,
+    sub.add_argument("--assignment", type=_parse_assignment, default=None,
                      help="six comma-separated rationals for the parameter "
                           "square roots (specialized mode)")
     sub.add_argument("--seed", type=int, default=0)
@@ -50,12 +65,12 @@ def build_parser():
     commands = parser.add_subparsers(dest="command", required=True)
 
     sub = commands.add_parser("compute-e", help="nonsymmetric polynomial")
-    sub.add_argument("--alpha", type=str, required=True,
+    sub.add_argument("--alpha", type=_parse_label, required=True,
                      help="comma-separated integer label")
     _add_common(sub)
 
     sub = commands.add_parser("compute-p", help="symmetric polynomial")
-    sub.add_argument("--lambda", dest="lam", type=str, required=True,
+    sub.add_argument("--lambda", dest="lam", type=_parse_label, required=True,
                      help="comma-separated partition")
     _add_common(sub)
 
@@ -80,7 +95,7 @@ def build_parser():
                                    "assignment")
     sub.add_argument("--input", type=str, default=None,
                      help="path to a field element JSON (default: stdin)")
-    sub.add_argument("--assignment", type=str, default=None)
+    sub.add_argument("--assignment", type=_parse_assignment, default=None)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", dest="as_json", action="store_true", default=True)
     sub.add_argument("--text", dest="as_json", action="store_false")
@@ -89,7 +104,7 @@ def build_parser():
 
 def _assignment_from(args, seed_override=None):
     if args.assignment:
-        return Assignment.parse(args.assignment)
+        return args.assignment
     if seed_override is not None:
         return Assignment.from_seed(seed_override)
     return Assignment.default()
@@ -124,10 +139,10 @@ def _cmd_compute(args, symmetric):
         domain = make_domain(args.mode, assignment)
         family = KoornwinderFamily(args.n, domain, cache_dir=_cache_dir(args))
         if symmetric:
-            labeled = family.symmetric(_parse_label(args.lam))
+            labeled = family.symmetric(args.lam)
             verified = True  # construction is self-verifying
         else:
-            labeled = family.nonsymmetric(_parse_label(args.alpha))
+            labeled = family.nonsymmetric(args.alpha)
             verified = family.verify_spectrum(labeled)
         report = labeled.to_json()
         report["verified"] = verified
@@ -250,6 +265,13 @@ def main(argv=None):
         if getattr(args, name, low) < low:
             parser.error("--%s must be at least %d"
                          % (name.replace("_", "-"), low))
+    for name, flag in (("alpha", "--alpha"), ("lam", "--lambda")):
+        label = getattr(args, name, None)
+        if label is not None and len(label) != args.n:
+            parser.error("%s needs %d entries, got %d"
+                         % (flag, args.n, len(label)))
+    if args.command == "compute-p" and not is_partition(args.lam):
+        parser.error("--lambda must be weakly decreasing and nonnegative")
     try:
         if args.command == "compute-e":
             return _cmd_compute(args, symmetric=False)

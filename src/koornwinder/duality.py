@@ -66,6 +66,7 @@ class DualityChecker:
             self.star_family = star_family
         self._star_polys = {}
         self._pairings = {}
+        self._base_values = {}
 
     def _fam(self, starred):
         return self.star_family if starred else self.family
@@ -95,13 +96,24 @@ class DualityChecker:
         cached = self._pairings.get(key)
         if cached is not None:
             return cached
-        fam = self._fam(starred)
-        dom = fam.domain
+        dom = self._fam(starred).domain
         value = (self._star_poly(kind, left, starred).evaluate(
                      weyl.spectral_vector(tuple(right), dom))
-                 * getattr(fam, kind)(right).poly.evaluate(
-                     dual_spectral_point(dom, (0,) * self.n, -1)))
+                 * self._base_value(kind, right, starred))
         self._pairings[key] = value
+        return value
+
+    def _base_value(self, kind, label, starred):
+        """The polynomial of label at the inverted dual base point, shared
+        by every pairing with label on the right."""
+        key = (kind, tuple(label), starred)
+        cached = self._base_values.get(key)
+        if cached is not None:
+            return cached
+        fam = self._fam(starred)
+        value = getattr(fam, kind)(label).poly.evaluate(
+            dual_spectral_point(fam.domain, (0,) * self.n, -1))
+        self._base_values[key] = value
         return value
 
     def pairing_e(self, alpha, beta, starred=False):

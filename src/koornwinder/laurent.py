@@ -9,6 +9,8 @@ at points with nonzero coordinates.
 
 from __future__ import annotations
 
+import heapq
+
 
 class ExactDivisionError(ArithmeticError):
     """Division left a nonzero remainder; a divisibility guarantee broke."""
@@ -273,6 +275,10 @@ def exact_divide(f, g):
     Both sides are shifted by monomials into honest polynomials, divided
     with a graded-lex term order, and the zero-remainder condition is
     asserted; a failure signals a broken divisibility guarantee upstream.
+    The working terms sit in a heap keyed on the order, each pushed when
+    it enters; entries whose term has cancelled since are skipped.  A
+    popped term never comes back: every later subtraction lands strictly
+    below it, since graded lex is a monomial order.
     """
     if not g.terms:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -283,28 +289,42 @@ def exact_divide(f, g):
     def mins(p):
         return tuple(min(e[i] for e in p.terms) for i in range(ring.n))
 
+    def entry(e):
+        # heapq pops the least entry, so the graded-lex key is negated
+        return (-sum(e), tuple(-x for x in e), e)
+
     fmin, gmin = mins(f), mins(g)
     work = {tuple(a - b for a, b in zip(e, fmin)): c for e, c in f.terms.items()}
     gshift = {tuple(a - b for a, b in zip(e, gmin)): c for e, c in g.terms.items()}
 
     lead_g = max(gshift, key=_grlex)
     cg_inv = gshift[lead_g] ** (-1)
+    rest_g = [(e, c) for e, c in gshift.items() if e != lead_g]
+    heap = [entry(e) for e in work]
+    heapq.heapify(heap)
     quot = {}
-    while work:
-        lead_f = max(work, key=_grlex)
+    while heap:
+        lead_f = heapq.heappop(heap)[2]
+        cf = work.pop(lead_f, None)
+        if cf is None:
+            continue
         d = tuple(a - b for a, b in zip(lead_f, lead_g))
         if any(x < 0 for x in d):
             raise ExactDivisionError("nonzero remainder in exact division")
-        cq = work[lead_f] * cg_inv
+        cq = cf * cg_inv
         quot[d] = cq
-        for e, c in gshift.items():
+        for e, c in rest_g:
             key = tuple(a + b for a, b in zip(e, d))
             cur = work.get(key)
-            s = -(cq * c) if cur is None else cur - cq * c
-            if s:
-                work[key] = s
+            if cur is None:
+                work[key] = -(cq * c)
+                heapq.heappush(heap, entry(key))
             else:
-                work.pop(key, None)
+                s = cur - cq * c
+                if s:
+                    work[key] = s
+                else:
+                    del work[key]
     shift = tuple(a - b for a, b in zip(fmin, gmin))
     return LaurentPolynomial(
         ring, {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()})

@@ -66,7 +66,8 @@ class NoumiRepresentation:
 
     def _t_fraction(self, i):
         """Numerator/denominator of the (s_i - 1) coefficient, cleared of
-        negative powers by a common monomial (so the quotient is unchanged)."""
+        negative powers by a common monomial (so the quotient is unchanged),
+        with t_i^(-1/2) folded into the numerator."""
         ring, dom, n = self.ring, self.domain, self.n
         if i == 0:
             x1 = ring.gen(1)
@@ -79,17 +80,26 @@ class NoumiRepresentation:
         else:
             num = ring.gen(i + 1) - ring.gen(i).scale(dom.t)
             den = ring.gen(i + 1) - ring.gen(i)
-        return num, den
+        return num.scale(self._t_half_inv[i]), den
 
     def t(self, i, f, sign=1):
-        """Apply T_i (sign=+1) or T_i^{-1} (sign=-1)."""
+        """Apply T_i (sign=+1) or T_i^{-1} (sign=-1):
+        t_i^(+-1/2) f + t_i^(-1/2) num_i (s_i f - f) / den_i.
+
+        The reflection difference is divided before num_i multiplies it,
+        so the division runs on the smaller dividend.  It is exact at
+        every i: for 0 < i < n, s_i f - f is antisymmetric in x_i, x_(i+1)
+        and so divisible by x_(i+1) - x_i; for i = n and i = 0 each
+        monomial contributes u^m - v^m with u - v equal to den_i up to a
+        unit (u, v = x_n^(-1), x_n and q x_1^(-1), x_1), and u - v divides
+        u^m - v^m.
+        """
         diff = apply_simple_reflection(i, f) - f
         lead = self._t_half[i] if sign > 0 else self._t_half_inv[i]
         if not diff:
             return f * lead
         num, den = self._frac[i]
-        h = exact_divide(num * diff, den)
-        return f * lead + h * self._t_half_inv[i]
+        return f * lead + exact_divide(diff, den) * num
 
     def x(self, i, f, sign=1):
         """Multiply by x_i^sign."""

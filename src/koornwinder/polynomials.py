@@ -20,6 +20,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 
 from . import weyl
 from .intertwine import apply_intertwiner, spectral_intertwiner
@@ -200,11 +201,26 @@ class KoornwinderFamily:
         return oracle
 
     def basis_check(self, degree):
-        """Exact rank of the change of basis to monomials of weight <= degree."""
+        """Exact rank of the change of basis to monomials of weight <= degree.
+
+        Row alpha holds the coefficients of E_alpha.  Certificate: if every
+        E_alpha has coefficient one at x^alpha, and the graph with an edge
+        alpha -> beta for every other beta in the support of E_alpha has no
+        cycle, then list the labels in a topological order, supports first.
+        Permuting rows and columns by that one order makes the matrix lower
+        unitriangular, so its determinant is 1 and the rank is the size.
+        This is the triangularity E_alpha = x^alpha + lower terms (Sahi
+        1999; Macdonald 2003), checked on the actual rows, which may come
+        from an untrusted disk cache.  A cycle or another diagonal entry
+        proves nothing either way, so the rank is then computed by
+        elimination.
+        """
         exponents = monomial_exponents(self.n, degree)
         index = {e: k for k, e in enumerate(exponents)}
-        zero = self.domain.zero
+        zero, one = self.domain.zero, self.domain.one
         rows = []
+        graph = TopologicalSorter()
+        triangular = True
         for alpha in exponents:
             poly = self.nonsymmetric(alpha).poly
             row = [zero] * len(exponents)
@@ -217,7 +233,13 @@ class KoornwinderFamily:
                             "error": "support escapes the filtration"}
                 row[k] = c
             rows.append(row)
-        rank = matrix_rank(rows, self.domain)
+            triangular = triangular and poly.coefficient(alpha) == one
+            graph.add(alpha, *(e for e in poly.terms if e != alpha))
+        try:
+            graph.prepare()
+        except CycleError:
+            triangular = False
+        rank = len(exponents) if triangular else matrix_rank(rows, self.domain)
         return {"n": self.n, "degree": degree, "size": len(exponents),
                 "rank": rank, "invertible": rank == len(exponents)}
 

@@ -165,6 +165,23 @@ def test_usage_error_exit_code():
         assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute-e", "--n", "1", "--alpha", "1",
+     "--assignment", "1/0,1,1,1,1,1"],
+    ["compute-e", "--n", "1", "--alpha", "1", "--assignment", "2,3"],
+    ["specialize", "--assignment", "2,3,x,7,11,13"],
+    ["compute-e", "--n", "1", "--alpha", "x"],
+    ["compute-e", "--n", "2", "--alpha", "1"],
+    ["compute-p", "--n", "2", "--lambda", "1"],
+    ["compute-p", "--n", "2", "--lambda", "0,1"],
+])
+def test_malformed_input_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "error" in capsys.readouterr().err
+
+
 def _only_cache_file(cache):
     files = list(cache.glob("*.json"))
     assert len(files) == 1

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from koornwinder import weyl
-from koornwinder.laurent import LaurentRing, apply_simple_reflection
+from koornwinder.laurent import (LaurentRing, apply_simple_reflection,
+                                 exact_divide)
 from koornwinder.noumi import (NoumiRepresentation, character_value,
                                check_daha_relations, monomial_exponents)
 from koornwinder.domains import Assignment, SpecializedDomain
@@ -52,6 +54,47 @@ def test_quadratic_relation(rep2):
             gap = d.t_half(i, 2) - d.t_half(i, 2) ** (-1)
             assert rep2.t(i, f) - rep2.t(i, f, -1) == f * gap
             assert rep2.t(i, rep2.t(i, f), -1) == f
+
+
+def literal_t(rep, i, f, sign):
+    """t_i^(+-1/2) f + t_i^(-1/2) num_i (s_i f - f) / den_i, with num_i
+    and den_i written out here and the product divided."""
+    ring, dom, n = rep.ring, rep.domain, rep.n
+    one, x = ring.one(), ring.gen
+    if i == 0:
+        num = (x(1) - ring.scalar(dom.c)) * (x(1) - ring.scalar(dom.d))
+        den = x(1) * x(1) - ring.scalar(dom.q)
+    elif i == n:
+        num = (one - x(n).scale(dom.a)) * (one - x(n).scale(dom.b))
+        den = one - x(n) * x(n)
+    else:
+        num = x(i + 1) - x(i).scale(dom.t)
+        den = x(i + 1) - x(i)
+    half = dom.t_half(i, n)
+    quotient = exact_divide(num * (apply_simple_reflection(i, f) - f), den)
+    return f * half ** sign + quotient * half ** (-1)
+
+
+laurent_terms = st.dictionaries(
+    st.tuples(*[st.integers(-2, 2)] * 3),
+    st.integers(-3, 3).filter(bool), max_size=4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["specialized", "symbolic"])
+def test_t_matches_the_literal_divided_difference(n, mode, request):
+    rep = NoumiRepresentation(LaurentRing(n, request.getfixturevalue(mode)))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(laurent_terms)
+    def check(terms):
+        f = rep.ring.from_terms({e[:n]: rep.domain.from_int(c)
+                                 for e, c in terms.items()})
+        for i in range(n + 1):
+            for sign in (1, -1):
+                assert rep.t(i, f, sign) == literal_t(rep, i, f, sign)
+
+    check()
 
 
 def test_x_operators(rep2):

@@ -44,6 +44,19 @@ def test_symbolic_rank_and_kernel():
     assert kernel_basis([[a, b], [c, a]], 2, dom) == []
 
 
+def basis_rows(family, degree):
+    """The change-of-basis matrix of basis_check, rows E_alpha."""
+    exponents = monomial_exponents(family.n, degree)
+    return [[family.nonsymmetric(alpha).poly.coefficient(e) for e in exponents]
+            for alpha in exponents]
+
+
+def test_literal_rank_agrees_with_the_triangular_certificate():
+    family = KoornwinderFamily(1, SymbolicDomain())
+    assert matrix_rank(basis_rows(family, 2), family.domain) == 5
+    assert family.basis_check(2)["rank"] == 5
+
+
 def test_symbolic_elimination_needs_no_canonical_form(monkeypatch):
     # equality is by cross multiplication, so the elimination never needs
     # the full gcd reduction of its entries
@@ -54,6 +67,7 @@ def test_symbolic_elimination_needs_no_canonical_form(monkeypatch):
     chain = {alpha: family.nonsymmetric(alpha).poly
              for alpha in monomial_exponents(1, 3)}
     monkeypatch.setattr(FieldElement, "canonical", refuse)
+    assert matrix_rank(basis_rows(family, 3), family.domain) == 7
     assert family.basis_check(3)["invertible"]
     oracle = family.eigen_oracle(2)
     for alpha in monomial_exponents(1, 2):

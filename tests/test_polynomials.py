@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from koornwinder import weyl
+from koornwinder import polynomials, weyl
 from koornwinder.domains import Assignment, SpecializedDomain, SymbolicDomain
 from koornwinder.noumi import monomial_exponents
-from koornwinder.polynomials import (KoornwinderFamily, NonGenericParametersError)
+from koornwinder.oracle import matrix_rank
+from koornwinder.polynomials import (KoornwinderFamily, LabeledPolynomial,
+                                     NonGenericParametersError)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +88,49 @@ def test_basis_checks(fam1, fam2):
     assert fam1.basis_check(0)["invertible"]
     report = fam2.basis_check(1)
     assert report["size"] == 5 and report["rank"] == 5 and report["invertible"]
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Sizes of the matrices basis_check sends to elimination."""
+    calls = []
+
+    def counting(rows, domain):
+        calls.append(len(rows))
+        return matrix_rank(rows, domain)
+
+    monkeypatch.setattr(polynomials, "matrix_rank", counting)
+    return calls
+
+
+def _replace_entry(family, alpha, poly):
+    spectrum = family.nonsymmetric(alpha).spectrum
+    family._nonsymmetric[alpha] = LabeledPolynomial(alpha, poly, spectrum)
+
+
+def test_basis_check_takes_the_certificate(fam2, rank_calls):
+    assert fam2.basis_check(2)["invertible"]
+    assert rank_calls == []
+
+
+def test_basis_check_falls_back_on_another_diagonal(specialized, rank_calls):
+    family = KoornwinderFamily(1, specialized)
+    _replace_entry(family, (1,), family.nonsymmetric((1,)).poly.scale(2))
+    report = family.basis_check(1)
+    assert rank_calls == [3]
+    assert report["rank"] == 3 and report["invertible"]
+
+
+def test_basis_check_falls_back_on_a_cycle(specialized, rank_calls):
+    # E_(-1) replaced by the multiple of E_(1) that is one at x^-1: rows
+    # 1 and -1 have each other in their supports, and are proportional
+    family = KoornwinderFamily(1, specialized)
+    e1 = family.nonsymmetric((1,)).poly
+    _replace_entry(family, (-1,), e1 * e1.coefficient((-1,)) ** (-1))
+    report = family.basis_check(1)
+    assert rank_calls == [3]
+    assert report == {"n": 1, "degree": 1, "size": 3, "rank": 2,
+                      "invertible": False}
 
 
 def test_symmetric_rank_one(fam1):
