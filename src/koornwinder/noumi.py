@@ -251,21 +251,27 @@ class NoumiRepresentation:
     def d_eigen_holds(self, f, lam):
         """Whether D f == E(lam) f, for a W0-invariant Laurent polynomial f.
 
-        Decided exactly on a grid of (d+1)^n points, d the largest
-        |exponent| of any variable in f, with no polynomial division.  The
-        residual R = D f - E(lam) f is W0-invariant, since D commutes with
-        W0 (which permutes its 2n shift terms), and by the triangularity
-        of D on symmetric Laurent polynomials (Koornwinder, Contemp. Math.
+        Decided exactly at the C(d+n, n) strictly increasing n-tuples from
+        one pool S of d+n integers >= 2, d the largest |exponent| of any
+        variable in f, with no polynomial division.  The residual
+        R = D f - E(lam) f is W0-invariant, since D commutes with W0
+        (which permutes its 2n shift terms), and by the triangularity of
+        D on symmetric Laurent polynomials (Koornwinder, Contemp. Math.
         138, 1992, section 5) no exponent of R exceeds d in absolute
-        value.  Being invariant under every x_i -> 1/x_i, R is a
-        polynomial of degree <= d in each z_i = x_i + 1/x_i, and z is
-        injective on x > 1.  So R vanishes identically once it vanishes on
-        S_1 x ... x S_n for any sets S_i of d+1 integers >= 2 (Alon,
-        Combin. Probab. Comput. 8, 1999, Lemma 2.1).  The S_i are pairwise
-        disjoint and avoid the roots of 1 - q x^{+-2}, so no denominator
-        factor of D vanishes on the grid, and each point tests
-        R * prod(factors) = 0.  The equation is linear in f, so it is
-        checked on f with its coefficient denominators cleared.
+        value.  So R is a symmetric polynomial of degree <= d in each
+        z_i = x_i + 1/x_i, and A = R * prod_{i<j} (z_i - z_j) is
+        antisymmetric of degree <= d+n-1 in each z_i.  If R vanishes at
+        the increasing tuples, A vanishes on all of S^n: a tuple with a
+        repeated coordinate makes the product zero, and any other is a
+        permutation of an increasing one.  z is injective on x > 1, so S
+        gives d+n distinct z-values, and A vanishes identically (Alon,
+        Combin. Probab. Comput. 8, 1999, Lemma 2.1); the product does
+        not, so neither does R.  S avoids the roots of 1 - q x^{+-2},
+        1 - x^{+-2} has none at x >= 2, and the coordinates of a point are
+        distinct integers >= 2, so no cross factor 1 - x_i^{+-1} x_j^{+-1}
+        vanishes: no denominator factor of D vanishes at a point, and each
+        point tests R * prod(factors) = 0.  The equation is linear in f,
+        so it is checked on f with its coefficient denominators cleared.
         """
         dom, n = self.domain, self.n
         if any(apply_simple_reflection(i, f) != f for i in range(1, n + 1)):
@@ -278,7 +284,7 @@ class NoumiRepresentation:
         shifted = [(apply_translation(i, f, d), numerator, own)
                    for i, d, numerator, own in pieces]
         degree = max(abs(k) for e in f.terms for k in e)
-        for point in itertools.product(*self._grid_sets(degree)):
+        for point in itertools.combinations(self._grid_pool(degree), n):
             values = [fac.evaluate(point) for fac in factors]
             fx = f.evaluate(point)
             total = -eigenvalue
@@ -297,15 +303,14 @@ class NoumiRepresentation:
                 return False
         return True
 
-    def _grid_sets(self, degree):
-        """n pairwise disjoint lists of degree + 1 integers >= 2, drawn in
-        increasing order, skipping every x with 1 - q x^2 = 0 or
-        1 - q x^-2 = 0 (as Fractions, so negative powers stay exact)."""
+    def _grid_pool(self, degree):
+        """degree + n increasing integers >= 2, skipping every x with
+        1 - q x^2 = 0 or 1 - q x^-2 = 0 (as Fractions, so negative powers
+        stay exact)."""
         q = self.domain.q
         pool = (Fraction(x) for x in itertools.count(2)
                 if q * (x * x) != 1 and q != x * x)
-        return [[next(pool) for _ in range(degree + 1)]
-                for _ in range(self.n)]
+        return list(itertools.islice(pool, degree + self.n))
 
     def d_eigenvalue(self, lam):
         """Eigenvalue of the q-difference operator on the partition lam."""

@@ -165,8 +165,8 @@ class KoornwinderFamily:
 
         Verified on construction: invariance under the finite generators
         s_1..s_n, then Koornwinder's eigenvalue equation D P = E(lam) P,
-        decided exactly on a grid of integer points; the docstring of
-        NoumiRepresentation.d_eigen_holds proves that the grid suffices.
+        decided exactly at finitely many integer points; the docstring of
+        NoumiRepresentation.d_eigen_holds proves that those points suffice.
         """
         lam = tuple(int(x) for x in lam)
         if not weyl.is_partition(lam):

@@ -182,6 +182,19 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
     assert "error" in capsys.readouterr().err
 
 
+def test_negative_first_assignment_value_takes_the_equals_form(capsys):
+    # argparse reads "-2,..." after a space as an option string
+    with pytest.raises(SystemExit) as info:
+        main(["compute-p", "--n", "1", "--lambda", "1",
+              "--assignment", "-2,3,5,7,11,13"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "compute-p", "--n", "1", "--lambda", "1",
+                           "--assignment=-2,3,5,7,11,13")
+    assert code == 0
+    assert json.loads(out)["verified"] is True
+
+
 def _only_cache_file(cache):
     files = list(cache.glob("*.json"))
     assert len(files) == 1
@@ -241,7 +254,8 @@ def test_poisoned_cache_fails_symmetric_check(capsys, tmp_path):
 
 # stdout of two symbolic commands, recorded before the coefficient field
 # moved onto sympy's sparse polynomial ring; the canonical form must not
-# change a byte
+# change a byte.  The two specialized compute-p commands were recorded
+# while D's eigen equation was still checked on the (d+1)^n product grid.
 PINNED_STDOUT = {
     ("compute-e", "--n", "1", "--alpha", "-1", "--mode", "symbolic"): (
         '{"label":[-1],"n":1,"spectrum":[{"den":[["1",[2,0,1,1,0,0]]],"nu'
@@ -288,6 +302,69 @@ PINNED_STDOUT = {
         ',0,2,1,1,0]],["1",[4,0,2,1,1,2]],["-1",[5,0,1,2,0,1]],["1",[5,0,'
         '1,2,2,1]],["-1",[6,0,2,1,1,0]],["1",[6,0,2,1,1,2]]]},"exp":[1]},'
         '{"coeff":1,"exp":[2]}],"verified":true}' "\n"),
+    ("compute-p", "--n", "3", "--lambda", "2,1,0"): (
+        '{"label":[2,1,0],"n":3,"spectrum":[45360,1260,35],"terms":[{"coef'
+        'f":1,"exp":[-2,-1,0]},{"coeff":1,"exp":[-2,0,-1]},{"coeff":"10912'
+        '080/3338621","exp":[-2,0,0]},{"coeff":1,"exp":[-2,0,1]},{"coeff":'
+        '1,"exp":[-2,1,0]},{"coeff":1,"exp":[-1,-2,0]},{"coeff":"696/323",'
+        '"exp":[-1,-1,-1]},{"coeff":"106112150928782640/14991808243896341"'
+        ',"exp":[-1,-1,0]},{"coeff":"696/323","exp":[-1,-1,1]},{"coeff":1,'
+        '"exp":[-1,0,-2]},{"coeff":"106112150928782640/14991808243896341",'
+        '"exp":[-1,0,-1]},{"coeff":"1677960795508030321352388416/103034499'
+        '139654792961916379","exp":[-1,0,0]},{"coeff":"106112150928782640/'
+        '14991808243896341","exp":[-1,0,1]},{"coeff":1,"exp":[-1,0,2]},{"c'
+        'oeff":"696/323","exp":[-1,1,-1]},{"coeff":"106112150928782640/149'
+        '91808243896341","exp":[-1,1,0]},{"coeff":"696/323","exp":[-1,1,1]'
+        '},{"coeff":1,"exp":[-1,2,0]},{"coeff":1,"exp":[0,-2,-1]},{"coeff"'
+        ':"10912080/3338621","exp":[0,-2,0]},{"coeff":1,"exp":[0,-2,1]},{"'
+        'coeff":1,"exp":[0,-1,-2]},{"coeff":"106112150928782640/1499180824'
+        '3896341","exp":[0,-1,-1]},{"coeff":"1677960795508030321352388416/'
+        '103034499139654792961916379","exp":[0,-1,0]},{"coeff":"1061121509'
+        '28782640/14991808243896341","exp":[0,-1,1]},{"coeff":1,"exp":[0,-'
+        '1,2]},{"coeff":"10912080/3338621","exp":[0,0,-2]},{"coeff":"16779'
+        '60795508030321352388416/103034499139654792961916379","exp":[0,0,-'
+        '1]},{"coeff":"33667740320792996173738638720/113337949053620272258'
+        '1080169","exp":[0,0,0]},{"coeff":"1677960795508030321352388416/10'
+        '3034499139654792961916379","exp":[0,0,1]},{"coeff":"10912080/3338'
+        '621","exp":[0,0,2]},{"coeff":1,"exp":[0,1,-2]},{"coeff":"10611215'
+        '0928782640/14991808243896341","exp":[0,1,-1]},{"coeff":"167796079'
+        '5508030321352388416/103034499139654792961916379","exp":[0,1,0]},{'
+        '"coeff":"106112150928782640/14991808243896341","exp":[0,1,1]},{"c'
+        'oeff":1,"exp":[0,1,2]},{"coeff":1,"exp":[0,2,-1]},{"coeff":"10912'
+        '080/3338621","exp":[0,2,0]},{"coeff":1,"exp":[0,2,1]},{"coeff":1,'
+        '"exp":[1,-2,0]},{"coeff":"696/323","exp":[1,-1,-1]},{"coeff":"106'
+        '112150928782640/14991808243896341","exp":[1,-1,0]},{"coeff":"696/'
+        '323","exp":[1,-1,1]},{"coeff":1,"exp":[1,0,-2]},{"coeff":"1061121'
+        '50928782640/14991808243896341","exp":[1,0,-1]},{"coeff":"16779607'
+        '95508030321352388416/103034499139654792961916379","exp":[1,0,0]},'
+        '{"coeff":"106112150928782640/14991808243896341","exp":[1,0,1]},{"'
+        'coeff":1,"exp":[1,0,2]},{"coeff":"696/323","exp":[1,1,-1]},{"coef'
+        'f":"106112150928782640/14991808243896341","exp":[1,1,0]},{"coeff"'
+        ':"696/323","exp":[1,1,1]},{"coeff":1,"exp":[1,2,0]},{"coeff":1,"e'
+        'xp":[2,-1,0]},{"coeff":1,"exp":[2,0,-1]},{"coeff":"10912080/33386'
+        '21","exp":[2,0,0]},{"coeff":1,"exp":[2,0,1]},{"coeff":1,"exp":[2,'
+        '1,0]}],"verified":true}' "\n"),
+    ("compute-p", "--n", "4", "--lambda", "1,1,0,0"): (
+        '{"label":[1,1,0,0],"n":4,"spectrum":[102060,11340,315,35],"terms"'
+        ':[{"coeff":1,"exp":[-1,-1,0,0]},{"coeff":1,"exp":[-1,0,-1,0]},{"c'
+        'oeff":1,"exp":[-1,0,0,-1]},{"coeff":"1167085752/353637889","exp":'
+        '[-1,0,0,0]},{"coeff":1,"exp":[-1,0,0,1]},{"coeff":1,"exp":[-1,0,1'
+        ',0]},{"coeff":1,"exp":[-1,1,0,0]},{"coeff":1,"exp":[0,-1,-1,0]},{'
+        '"coeff":1,"exp":[0,-1,0,-1]},{"coeff":"1167085752/353637889","exp'
+        '":[0,-1,0,0]},{"coeff":1,"exp":[0,-1,0,1]},{"coeff":1,"exp":[0,-1'
+        ',1,0]},{"coeff":1,"exp":[0,0,-1,-1]},{"coeff":"1167085752/3536378'
+        '89","exp":[0,0,-1,0]},{"coeff":1,"exp":[0,0,-1,1]},{"coeff":"1167'
+        '085752/353637889","exp":[0,0,0,-1]},{"coeff":"1563090853411315749'
+        '44/14631991919317774573","exp":[0,0,0,0]},{"coeff":"1167085752/35'
+        '3637889","exp":[0,0,0,1]},{"coeff":1,"exp":[0,0,1,-1]},{"coeff":"'
+        '1167085752/353637889","exp":[0,0,1,0]},{"coeff":1,"exp":[0,0,1,1]'
+        '},{"coeff":1,"exp":[0,1,-1,0]},{"coeff":1,"exp":[0,1,0,-1]},{"coe'
+        'ff":"1167085752/353637889","exp":[0,1,0,0]},{"coeff":1,"exp":[0,1'
+        ',0,1]},{"coeff":1,"exp":[0,1,1,0]},{"coeff":1,"exp":[1,-1,0,0]},{'
+        '"coeff":1,"exp":[1,0,-1,0]},{"coeff":1,"exp":[1,0,0,-1]},{"coeff"'
+        ':"1167085752/353637889","exp":[1,0,0,0]},{"coeff":1,"exp":[1,0,0,'
+        '1]},{"coeff":1,"exp":[1,0,1,0]},{"coeff":1,"exp":[1,1,0,0]}],"ver'
+        'ified":true}' "\n"),
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from koornwinder import weyl
-from koornwinder.laurent import (LaurentRing, apply_simple_reflection,
-                                 exact_divide)
+from koornwinder.laurent import (LaurentPolynomial, LaurentRing,
+                                 apply_simple_reflection, exact_divide)
 from koornwinder.noumi import (NoumiRepresentation, character_value,
                                check_daha_relations, monomial_exponents)
 from koornwinder.domains import Assignment, SpecializedDomain
@@ -354,7 +355,7 @@ def test_d_eigen_holds_agrees_with_reference_symbolic(symbolic, n, labels):
         assert rep.d_eigen_holds(poly, lam)
 
 
-@pytest.mark.parametrize("n, weight", [(1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n, weight", [(1, 4), (2, 3), (3, 2), (4, 1)])
 def test_d_eigen_holds_rejects_perturbations(n, weight):
     family = KoornwinderFamily(n, SpecializedDomain())
     rep, ring, dom = family.rep, family.ring, family.domain
@@ -380,17 +381,18 @@ def test_d_eigen_holds_requires_invariance(rep2):
         rep2.d_eigen_holds(rep2.ring.gen(1), (1, 0))
 
 
-def test_grid_sets_are_disjoint_and_pole_free():
+def test_grid_pool_is_increasing_and_pole_free():
     for q_sqrt in (Fraction(1, 2), 2, 3):
         dom = SpecializedDomain(Assignment.make((q_sqrt, 3, 5, 7, 11, 13)))
-        rep = NoumiRepresentation(LaurentRing(3, dom))
-        sets = rep._grid_sets(2)
-        assert [len(s) for s in sets] == [3, 3, 3]
-        points = [x for s in sets for x in s]
-        assert len(set(points)) == len(points) and min(points) >= 2
-        for x in points:
-            assert x.denominator == 1
-            assert dom.q * x * x != 1 and dom.q != x * x
+        for n in (1, 2, 3, 4):
+            rep = NoumiRepresentation(LaurentRing(n, dom))
+            for degree in (0, 1, 2, 3):
+                pool = rep._grid_pool(degree)
+                assert len(pool) == degree + n
+                assert pool == sorted(set(pool)) and pool[0] >= 2
+                for x in pool:
+                    assert x.denominator == 1
+                    assert dom.q * x * x != 1 and dom.q != x * x
 
 
 def test_d_eigen_holds_grid_degree_is_read_from_the_input(monkeypatch):
@@ -398,8 +400,31 @@ def test_d_eigen_holds_grid_degree_is_read_from_the_input(monkeypatch):
     rep = family.rep
     poly = family.symmetric((2, 1, 0)).poly
     seen = []
-    grid_sets = rep._grid_sets
-    monkeypatch.setattr(rep, "_grid_sets",
-                        lambda degree: seen.append(degree) or grid_sets(degree))
+    grid_pool = rep._grid_pool
+    monkeypatch.setattr(rep, "_grid_pool",
+                        lambda degree: seen.append(degree) or grid_pool(degree))
     assert rep.d_eigen_holds(poly, (2, 1, 0))
     assert seen == [2]
+
+
+@pytest.mark.parametrize("lam", [(4, 0), (2, 1, 0), (3, 0, 0), (1, 1, 0, 0)])
+def test_d_eigen_holds_checks_the_increasing_points_of_one_pool(monkeypatch,
+                                                                 lam):
+    family = KoornwinderFamily(len(lam), SpecializedDomain())
+    rep = family.rep
+    poly = family.symmetric(lam).poly
+    points = set()
+    evaluate = LaurentPolynomial.evaluate
+
+    def recording(self, point):
+        points.add(tuple(point))
+        return evaluate(self, point)
+
+    monkeypatch.setattr(LaurentPolynomial, "evaluate", recording)
+    assert rep.d_eigen_holds(poly, lam)
+    n, d = len(lam), lam[0]
+    pool = rep._grid_pool(d)
+    assert len(points) == math.comb(d + n, n)
+    for point in points:
+        assert all(x < y for x, y in zip(point, point[1:]))
+        assert set(point) <= set(pool)
