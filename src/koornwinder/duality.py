@@ -46,24 +46,19 @@ class DualityChecker:
     """Pairings between the family and its star twin.
 
     For symbolic coefficients the twin is the family itself (star acts on
-    coefficients directly); for specialized coefficients pass the family
+    coefficients directly); for specialized coefficients it is the family
     built under the star-transformed assignment.
     """
 
-    def __init__(self, family: KoornwinderFamily, star_family=None):
+    def __init__(self, family: KoornwinderFamily):
         self.family = family
         self.n = family.n
         self.symbolic = family.domain.mode == "symbolic"
         if self.symbolic:
             self.star_family = family
         else:
-            if star_family is None:
-                star_family = KoornwinderFamily(
-                    family.n, family.domain.star_domain())
-            if star_family.domain.assignment != family.domain.assignment.star():
-                raise ValueError("star family must use the star-transformed "
-                                 "assignment")
-            self.star_family = star_family
+            self.star_family = KoornwinderFamily(
+                family.n, family.domain.star_domain())
         self._star_polys = {}
         self._pairings = {}
         self._base_values = {}

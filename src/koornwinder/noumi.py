@@ -3,11 +3,11 @@
 Operators act on Laurent polynomials and are never materialized as
 matrices (the linear-algebra oracle does that separately).  Provided
 here: the Demazure-Lusztig style generators T_i^{+-1}, multiplication
-operators X_i^{+-1}, the commuting family Y_i built from the affine
-translation words, the auxiliary elements U_0 and U_n, the one
-dimensional character, the finite symmetrizer, Koornwinder's
-q-difference operator with its eigenvalues, and a relation-check suite
-for the defining presentation.
+operators X_i^{+-1}, and compositions of them: the commuting family Y_i,
+each the T-word of weyl.translation_word, and the auxiliary elements
+U_0 and U_n.  Also the one dimensional character, the finite
+symmetrizer, Koornwinder's q-difference operator with its eigenvalues,
+and a relation-check suite for the defining presentation.
 """
 
 from __future__ import annotations
@@ -28,18 +28,6 @@ def character_value(word, domain, n):
     return v
 
 
-def _invert_atoms(atoms):
-    return tuple((tag, i, -s) for tag, i, s in reversed(atoms))
-
-
-def _y_atoms(i, n):
-    # (T_i ... T_{n-1}) (T_n ... T_0) (T_1^{-1} ... T_{i-1}^{-1}),
-    # written in product order
-    return (tuple(("t", j, 1) for j in range(i, n))
-            + tuple(("t", j, 1) for j in range(n, -1, -1))
-            + tuple(("t", j, -1) for j in range(1, i)))
-
-
 class NoumiRepresentation:
     """Operators of the representation on a fixed Laurent ring."""
 
@@ -55,11 +43,16 @@ class NoumiRepresentation:
             self._t_half[i] = th
             self._t_half_inv[i] = th ** (-1)
             self._frac[i] = self._t_fraction(i)
-        self._y_words = {i: _y_atoms(i, self.n) for i in range(1, self.n + 1)}
-        # U_0 = q^{-1/2} T_0^{-1} X_1 and U_n = X_1^{-1} T_0 Y_1^{-1}
-        self._u0_word = (("qh", 0, -1), ("t", 0, -1), ("x", 1, 1))
-        self._un_word = ((("x", 1, -1), ("t", 0, 1))
-                         + _invert_atoms(self._y_words[1]))
+        # (letter, sign) in application order.  Y_i: the translation word,
+        # last i - 1 letters inverted, rightmost first; Y_i^{-1}: leftmost
+        # first, every letter inverted
+        self._y_letters = {}
+        for i in range(1, self.n + 1):
+            word = weyl.translation_word(i, self.n)
+            product = [(j, 1 if k < len(word) - (i - 1) else -1)
+                       for k, j in enumerate(word)]
+            self._y_letters[i, 1] = product[::-1]
+            self._y_letters[i, -1] = [(j, -s) for j, s in product]
         self._d_terms = None
 
     # -- generators ------------------------------------------------------
@@ -105,30 +98,28 @@ class NoumiRepresentation:
         """Multiply by x_i^sign."""
         return f * self.ring.gen(i, 1 if sign > 0 else -1)
 
-    def _apply_atoms(self, atoms, f, sign=1):
-        if sign < 0:
-            atoms = _invert_atoms(atoms)
-        for tag, i, s in reversed(atoms):
-            if tag == "t":
-                f = self.t(i, f, s)
-            elif tag == "x":
-                f = self.x(i, f, s)
-            else:  # scalar q^(s/2)
-                f = f * self.domain.q_sqrt ** s
-        return f
-
     def y(self, i, f, sign=1):
         """Apply Y_i^{+-1}, the Hecke lift of the translation by e_i."""
-        return self._apply_atoms(self._y_words[i], f, sign)
+        for j, s in self._y_letters[i, 1 if sign > 0 else -1]:
+            f = self.t(j, f, s)
+        return f
 
     def u0(self, f, sign=1):
-        return self._apply_atoms(self._u0_word, f, sign)
+        """Apply U_0 = q^{-1/2} T_0^{-1} X_1, or its inverse
+        X_1^{-1} T_0 q^{1/2}."""
+        if sign > 0:
+            return self.t(0, self.x(1, f), -1) * self.domain.q_sqrt ** (-1)
+        return self.x(1, self.t(0, f * self.domain.q_sqrt), -1)
 
     def un(self, f, sign=1):
-        return self._apply_atoms(self._un_word, f, sign)
+        """Apply U_n = X_1^{-1} T_0 Y_1^{-1}, or its inverse
+        Y_1 T_0^{-1} X_1."""
+        if sign > 0:
+            return self.x(1, self.t(0, self.y(1, f, -1)), -1)
+        return self.y(1, self.t(0, self.x(1, f), -1))
 
     def t_word(self, word, f):
-        """Apply T_w for a product-order reduced word over 1..n."""
+        """Apply T_w for a product-order word over 0..n."""
         for i in reversed(word):
             f = self.t(i, f)
         return f
@@ -340,14 +331,6 @@ def monomial_exponents(n, radius):
     return sorted(out)
 
 
-def _alternating(rep, i, j, count, f):
-    """T_i T_j T_i ... (count factors), applied rightmost first."""
-    letters = [i if k % 2 == 0 else j for k in range(count)]
-    for letter in reversed(letters):
-        f = rep.t(letter, f)
-    return f
-
-
 def _relation_suite(rep):
     """Named operator identities; each entry maps f to lhs(f) - rhs(f)."""
     dom, n = rep.domain, rep.n
@@ -359,7 +342,9 @@ def _relation_suite(rep):
         checks.append(("quadratic T%d" % i, quad))
     for i, j, order in weyl.coxeter_pairs(n):
         def braid(f, i=i, j=j, order=order):
-            return _alternating(rep, i, j, order, f) - _alternating(rep, j, i, order, f)
+            # T_i T_j T_i ... against T_j T_i T_j ..., order letters each
+            return (rep.t_word(((i, j) * order)[:order], f)
+                    - rep.t_word(((j, i) * order)[:order], f))
         checks.append(("braid T%d T%d (order %d)" % (i, j, order), braid))
     for i in range(n + 1):
         for j in range(1, n + 1):

@@ -6,8 +6,8 @@ normalizing the coefficient at its own label to one.  Every chain
 state is a joint Y-eigenvector with a known spectrum, so each step
 applies the intertwiner in its spectral form, one T plus a scalar
 multiple of the state; nonsymmetric_via_chain keeps the literal
-commutator.  The symmetric one is the symmetrizer image of the
-nonsymmetric polynomial at a partition.
+commutator.  The symmetric one at a partition is the symmetrizer image
+of the raw chain state there, normalized the same way.
 Raw chain states are cached by the lattice point reached (they are well
 defined up to a scalar, which the final normalization removes), so
 chains to nearby points share work.
@@ -65,11 +65,16 @@ class KoornwinderFamily:
 
     # -- nonsymmetric family ------------------------------------------------
 
-    def nonsymmetric(self, alpha):
-        """The monic joint Y-eigenvector labeled by alpha."""
+    def _label(self, alpha):
+        """alpha as a tuple of ints, one per variable."""
         alpha = tuple(int(x) for x in alpha)
         if len(alpha) != self.n:
             raise ValueError("label has wrong length")
+        return alpha
+
+    def nonsymmetric(self, alpha):
+        """The monic joint Y-eigenvector labeled by alpha."""
+        alpha = self._label(alpha)
         cached = self._nonsymmetric.get(alpha)
         if cached is not None:
             return cached
@@ -77,12 +82,7 @@ class KoornwinderFamily:
         if disk is not None:
             self._nonsymmetric[alpha] = disk
             return disk
-        raw = self._chain_state(alpha)
-        lead = raw.coefficient(alpha)
-        if not lead:
-            raise NonGenericParametersError(
-                "chain output has no x^%r term; parameters are not generic"
-                % (alpha,))
+        raw, lead = self._generic_state(alpha)
         labeled = LabeledPolynomial(
             label=alpha,
             poly=raw * lead ** (-1),
@@ -90,6 +90,17 @@ class KoornwinderFamily:
         self._nonsymmetric[alpha] = labeled
         self._disk_write(labeled)
         return labeled
+
+    def _generic_state(self, alpha):
+        """The chain state of alpha and its coefficient at x^alpha, which
+        is zero only if the chain degenerated at these parameters."""
+        raw = self._chain_state(alpha)
+        lead = raw.coefficient(alpha)
+        if not lead:
+            raise NonGenericParametersError(
+                "chain output has no x^%r term; parameters are not generic"
+                % (alpha,))
+        return raw, lead
 
     def _chain_state(self, alpha):
         if not any(alpha):
@@ -120,7 +131,7 @@ class KoornwinderFamily:
         nonsymmetric polynomial.  Its coefficients are much smaller than
         the normalized ones in symbolic mode, so eigenspace checks that
         are scalar-multiple invariant should prefer it."""
-        return self._chain_state(tuple(int(x) for x in alpha))
+        return self._chain_state(self._label(alpha))
 
     def nonsymmetric_via_chain(self, word, alpha):
         """Chain-independence hook: build the polynomial along an explicit
@@ -161,21 +172,23 @@ class KoornwinderFamily:
     # -- symmetric family ----------------------------------------------------
 
     def symmetric(self, lam):
-        """The monic symmetric eigenpolynomial of a partition.
+        """The monic symmetric eigenpolynomial of a partition: the
+        normalized symmetrizer image of the raw chain state, a nonzero
+        multiple of E_lam with smaller coefficients.
 
         Verified on construction: invariance under the finite generators
         s_1..s_n, then Koornwinder's eigenvalue equation D P = E(lam) P,
         decided exactly at finitely many integer points; the docstring of
         NoumiRepresentation.d_eigen_holds proves that those points suffice.
         """
-        lam = tuple(int(x) for x in lam)
+        lam = self._label(lam)
         if not weyl.is_partition(lam):
             raise ValueError("expected a weakly decreasing nonnegative label")
         cached = self._symmetric.get(lam)
         if cached is not None:
             return cached
-        base = self.nonsymmetric(lam)
-        image = self.rep.symmetrizer(base.poly)
+        raw, _ = self._generic_state(lam)
+        image = self.rep.symmetrizer(raw)
         lead = image.coefficient(lam)
         if not lead:
             raise NonGenericParametersError(
@@ -187,7 +200,9 @@ class KoornwinderFamily:
         if not self.rep.d_eigen_holds(poly, lam):
             raise AssertionError(
                 "symmetric polynomial fails its eigenvalue equation")
-        labeled = LabeledPolynomial(label=lam, poly=poly, spectrum=base.spectrum)
+        labeled = LabeledPolynomial(
+            label=lam, poly=poly,
+            spectrum=weyl.spectral_vector(lam, self.domain))
         self._symmetric[lam] = labeled
         return labeled
 

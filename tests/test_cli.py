@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from koornwinder import noumi
 from koornwinder.cli import main, CACHE_ENV_VAR
 
 
@@ -236,17 +237,32 @@ def test_cache_entry_with_a_short_exponent_is_recomputed(capsys, tmp_path):
     assert path.read_bytes() == full  # rewritten
 
 
-def test_poisoned_cache_fails_symmetric_check(capsys, tmp_path):
+def test_compute_p_ignores_a_poisoned_cache_entry(capsys, tmp_path):
+    # compute-p builds from the raw chain state, so a hand-edited E_(1,0)
+    # entry is neither read nor rewritten
     cache = tmp_path / "cache"
-    args = ("compute-p", "--n", "2", "--lambda", "1,0",
-            "--cache-dir", str(cache))
-    code, _, _ = run_cli(capsys, *args)
+    code, _, _ = run_cli(capsys, "compute-e", "--n", "2", "--alpha", "1,0",
+                         "--cache-dir", str(cache))
     assert code == 0
     path = _only_cache_file(cache)
     entry = json.loads(path.read_text())
     entry["terms"][0]["coeff"] = "12345/7"  # a non-leading coefficient
     path.write_text(json.dumps(entry))
-    code, out, err = run_cli(capsys, *args)
+    poisoned = path.read_bytes()
+    args = ("compute-p", "--n", "2", "--lambda", "1,0")
+    code, clean, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0
+    assert out == clean
+    assert _only_cache_file(cache).read_bytes() == poisoned
+
+
+def test_failed_eigen_check_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(noumi.NoumiRepresentation, "d_eigen_holds",
+                        lambda self, f, lam: False)
+    code, out, err = run_cli(capsys, "compute-p", "--n", "2",
+                             "--lambda", "1,0")
     assert code == 1
     assert out == ""
     assert "eigenvalue" in json.loads(err)["error"]

@@ -124,8 +124,6 @@ def test_star_family_wiring(specialized):
     checker = DualityChecker(fam)
     assert (checker.star_family.domain.assignment
             == specialized.assignment.star())
-    with pytest.raises(ValueError):
-        DualityChecker(fam, star_family=KoornwinderFamily(2, specialized))
 
 
 def test_functional_base_case(fam1):

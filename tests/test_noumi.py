@@ -131,6 +131,32 @@ def test_u_relations(rep2):
         assert rep2.un(f) - rep2.un(f, -1) == f * (d.un_sqrt - d.un_sqrt ** (-1))
 
 
+@pytest.mark.parametrize("n, mode", [
+    (1, "specialized"), (2, "specialized"), (3, "specialized"),
+    (1, "symbolic"), (2, "symbolic")])
+def test_y_u0_un_round_trip(n, mode, request):
+    rep = NoumiRepresentation(LaurentRing(n, request.getfixturevalue(mode)))
+    rng = random.Random(20 + n)
+    for _ in range(3):
+        f = random_laurent(rep.ring, rng, radius=2, terms=3)
+        for i in range(1, n + 1):
+            assert rep.y(i, rep.y(i, f), -1) == f == rep.y(i, rep.y(i, f, -1))
+        for op in (rep.u0, rep.un):
+            assert op(op(f), -1) == f == op(op(f, -1))
+
+
+@pytest.mark.parametrize("n, mode", [
+    (2, "specialized"), (3, "specialized"), (2, "symbolic")])
+def test_y_satisfies_the_bernstein_relation(n, mode, request):
+    # Y_i = T_i Y_{i+1} T_i (Sahi, Ann. Math. 150, 1999)
+    rep = NoumiRepresentation(LaurentRing(n, request.getfixturevalue(mode)))
+    rng = random.Random(30 + n)
+    for _ in range(3):
+        f = random_laurent(rep.ring, rng, radius=2, terms=3)
+        for i in range(1, n):
+            assert rep.y(i, f) == rep.t(i, rep.y(i + 1, rep.t(i, f)))
+
+
 def test_un_definitional(rep2):
     one = rep2.ring.one()
     direct = rep2.un(one)

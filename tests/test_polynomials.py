@@ -28,6 +28,13 @@ def test_origin_is_one(fam1, fam2):
     assert fam2.symmetric((0, 0)).poly == fam2.ring.one()
 
 
+def test_every_entry_point_checks_the_label_length(fam2):
+    for build in (fam2.nonsymmetric, fam2.raw_eigenvector, fam2.symmetric):
+        for label in ((1,), (0, 1, 0)):
+            with pytest.raises(ValueError, match="wrong length"):
+                build(label)
+
+
 def test_rank_one_minus_one_frozen(fam1):
     # frozen from the matrix oracle at the default prime assignment
     e = fam1.nonsymmetric((-1,))
