@@ -5,11 +5,21 @@ length n) to nonzero coefficients.  The module also provides the
 exponential map for affine exponents, the action of the affine simple
 reflections and q-shifts on polynomials, exact division, and evaluation
 at points with nonzero coordinates.
+
+Exact division has two paths.  A divisor of three or more terms goes
+through graded-lex long division with the working terms in a heap.  A
+two-term divisor c_a x^a + c_b x^b, which is what every T_i divides by,
+goes through synthetic division: multiplying by it maps each line
+e + k (a - b) of exponents into itself, so each line of the dividend is
+divided on its own, as a one-variable polynomial by a linear one, from
+the top of the line down.  Either path raises ExactDivisionError on a
+nonzero remainder.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import add, sub
 
 
 class ExactDivisionError(ArithmeticError):
@@ -110,7 +120,16 @@ class LaurentPolynomial:
     def __sub__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            cur = out.get(e)
+            s = -c if cur is None else cur - c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return LaurentPolynomial(self.ring, out)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
@@ -118,6 +137,12 @@ class LaurentPolynomial:
             a, b = self.terms, other.terms
             if len(a) > len(b):
                 a, b = b, a
+            if len(a) == 1:
+                # a monomial: a shift plus a scale, and no two products meet
+                (e1, c1), = a.items()
+                return LaurentPolynomial(
+                    self.ring, {tuple(map(add, e1, e2)): c1 * c2
+                                for e2, c2 in b.items()})
             out = {}
             for e1, c1 in a.items():
                 for e2, c2 in b.items():
@@ -233,13 +258,10 @@ def apply_simple_reflection(i, f):
     ring = f.ring
     n = ring.n
     if i == 0:
-        q_pow = ring.domain.q_pow
-        out = {}
-        for e, c in f.terms.items():
-            k = e[0]
-            ne = (-k,) + e[1:]
-            out[ne] = c * q_pow(k) if k else c
-        return LaurentPolynomial(ring, out)
+        q_pow = _q_powers(ring)
+        return LaurentPolynomial(
+            ring, {(-e[0],) + e[1:]: c * q_pow(e[0]) if e[0] else c
+                   for e, c in f.terms.items()})
     if i == n:
         return LaurentPolynomial(
             ring, {e[:-1] + (-e[-1],): c for e, c in f.terms.items()})
@@ -258,12 +280,25 @@ def apply_translation(i, f, sign=1):
     ring = f.ring
     if not 1 <= i <= ring.n:
         raise ValueError("variable index out of range")
-    q_pow = ring.domain.q_pow
+    q_pow = _q_powers(ring)
     out = {}
     for e, c in f.terms.items():
         k = e[i - 1]
         out[e] = c * q_pow(sign * k) if k else c
     return LaurentPolynomial(ring, out)
+
+
+def _q_powers(ring):
+    """k -> q^k, each power computed once for the lifetime of the returned
+    function (one call of an action)."""
+    q_pow, powers = ring.domain.q_pow, {}
+
+    def power(k):
+        p = powers.get(k)
+        if p is None:
+            p = powers[k] = q_pow(k)
+        return p
+    return power
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +307,30 @@ def apply_translation(i, f, sign=1):
 def exact_divide(f, g):
     """Return h with g*h == f, or raise ExactDivisionError.
 
-    Both sides are shifted by monomials into honest polynomials, divided
-    with a graded-lex term order, and the zero-remainder condition is
-    asserted; a failure signals a broken divisibility guarantee upstream.
-    The working terms sit in a heap keyed on the order, each pushed when
-    it enters; entries whose term has cancelled since are skipped.  A
-    popped term never comes back: every later subtraction lands strictly
-    below it, since graded lex is a monomial order.
+    A failure signals a broken divisibility guarantee upstream.
+
+    A two-term g goes to _divide_binomial, synthetic division along the
+    lines of exponents that g preserves.  Its remainder check is the
+    same condition as here: f = g h splits into one equation per line,
+    so g divides f iff it divides every line, and on one line it is
+    division by a linear polynomial with nonzero constant term, where
+    the quotient is unique and divisibility means a zero remainder.
+
+    Any other g: both sides are shifted by monomials into honest
+    polynomials, divided with a graded-lex term order, and the
+    zero-remainder condition is asserted.  The working terms sit in a
+    heap keyed on the order, each pushed when it enters; entries whose
+    term has cancelled since are skipped.  A popped term never comes
+    back: every later subtraction lands strictly below it, since graded
+    lex is a monomial order.
     """
     if not g.terms:
         raise ZeroDivisionError("division by the zero polynomial")
     ring = f.ring
     if not f.terms:
         return ring.zero()
+    if len(g.terms) == 2:
+        return _divide_binomial(f, g)
 
     def mins(p):
         return tuple(min(e[i] for e in p.terms) for i in range(ring.n))
@@ -328,6 +374,61 @@ def exact_divide(f, g):
     shift = tuple(a - b for a, b in zip(fmin, gmin))
     return LaurentPolynomial(
         ring, {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()})
+
+
+def _divide_binomial(f, g):
+    """exact_divide for a two-term g = c_a x^a + c_b x^b, a the graded-lex
+    leading exponent, by synthetic division along the lines e + k*w,
+    w = a - b.
+
+    Multiplying by g maps each line into itself, so f is divisible iff
+    each of its lines is.  On the line through a base point p, f reads
+    sum_k f_k x^(p + k w) and g*h = f says f_k = c_a h_k + c_b h_(k+1),
+    h_k the coefficient of h at p + k w - a.  So from the top position
+    down, h_k = f_k / c_a + rho h_(k+1) with rho = -c_b / c_a: the carry
+    of synthetic division by y - rho, one addition per quotient term and
+    a multiplication only where c_a or rho is not one.  At the line's
+    lowest position the carry is h there, which must vanish: c_b times
+    it would land below the lowest term of f.  That carry is the
+    remainder.
+    """
+    ring = f.ring
+    one = ring.domain.one
+    (a, ca), (b, cb) = g.terms.items()
+    if _grlex(a) < _grlex(b):
+        a, ca, b, cb = b, cb, a, ca
+    w = tuple(map(sub, a, b))
+    # the base point of a line: its one point whose j-th exponent lies
+    # in the half-open range from 0 toward w_j
+    j = next(k for k, x in enumerate(w) if x)
+    wj = w[j]
+    inv = None if ca == one else ca ** (-1)
+    rho = -cb if inv is None else -(cb * inv)
+    if rho == one:
+        rho = None
+    lines = {}
+    for e, c in f.terms.items():
+        k = e[j] // wj
+        base = tuple(x - k * y for x, y in zip(e, w)) if k else e
+        lines.setdefault(base, {})[k] = c if inv is None else c * inv
+    quot = {}
+    for base, line in lines.items():
+        top, bottom = max(line), min(line)
+        # each step down the line moves the quotient exponent by -w
+        e = tuple(x + top * y - z for x, y, z in zip(base, w, a))
+        carry = line[top]
+        for k in range(top - 1, bottom - 1, -1):
+            if carry:
+                quot[e] = carry
+                if rho is not None:
+                    carry = carry * rho
+            e = tuple(map(sub, e, w))
+            c = line.get(k)
+            if c is not None:
+                carry = carry + c if carry else c
+        if carry:
+            raise ExactDivisionError("nonzero remainder in exact division")
+    return LaurentPolynomial(ring, quot)
 
 
 def unit_normalize(f):

@@ -37,12 +37,12 @@ class NoumiRepresentation:
         self.domain = ring.domain
         self._t_half = {}
         self._t_half_inv = {}
-        self._frac = {}
+        self._split = {}
         for i in range(self.n + 1):
             th = self.domain.t_half(i, self.n)
             self._t_half[i] = th
             self._t_half_inv[i] = th ** (-1)
-            self._frac[i] = self._t_fraction(i)
+            self._split[i] = self._t_split(i)
         # (letter, sign) in application order.  Y_i: the translation word,
         # last i - 1 letters inverted, rightmost first; Y_i^{-1}: leftmost
         # first, every letter inverted
@@ -57,10 +57,16 @@ class NoumiRepresentation:
 
     # -- generators ------------------------------------------------------
 
-    def _t_fraction(self, i):
-        """Numerator/denominator of the (s_i - 1) coefficient, cleared of
-        negative powers by a common monomial (so the quotient is unchanged),
-        with t_i^(-1/2) folded into the numerator."""
+    def _t_split(self, i):
+        """(alpha, rest, den, gaps): the (s_i - 1) coefficient of T_i,
+        t_i^(-1/2) num_i / den_i, as alpha + rest / den.
+
+        num_i and den_i are cleared of negative powers.  den is den_i
+        over its graded-lex leading term and num is t_i^(-1/2) num_i over
+        the same term; alpha is num's coefficient at den's leading
+        monomial and rest = num - alpha den.  gaps[sign] is
+        t_i^(sign/2) - alpha, the coefficient of f in T_i^sign f.
+        """
         ring, dom, n = self.ring, self.domain, self.n
         if i == 0:
             x1 = ring.gen(1)
@@ -73,26 +79,47 @@ class NoumiRepresentation:
         else:
             num = ring.gen(i + 1) - ring.gen(i).scale(dom.t)
             den = ring.gen(i + 1) - ring.gen(i)
-        return num.scale(self._t_half_inv[i]), den
+        shift, lead, den = unit_normalize(den)
+        num = num * ring.monomial([-x for x in shift],
+                                  (lead * self._t_half[i]) ** (-1))
+        alpha = num.coefficient(max(den.terms, key=lambda e: (sum(e), e)))
+        gaps = {1: self._t_half[i] - alpha, -1: self._t_half_inv[i] - alpha}
+        return alpha, num - den.scale(alpha), den, gaps
 
     def t(self, i, f, sign=1):
         """Apply T_i (sign=+1) or T_i^{-1} (sign=-1):
         t_i^(+-1/2) f + t_i^(-1/2) num_i (s_i f - f) / den_i.
 
-        The reflection difference is divided before num_i multiplies it,
-        so the division runs on the smaller dividend.  It is exact at
-        every i: for 0 < i < n, s_i f - f is antisymmetric in x_i, x_(i+1)
-        and so divisible by x_(i+1) - x_i; for i = n and i = 0 each
-        monomial contributes u^m - v^m with u - v equal to den_i up to a
-        unit (u, v = x_n^(-1), x_n and q x_1^(-1), x_1), and u - v divides
+        The reflection difference is divided before it is multiplied, so
+        the division runs on the smaller dividend.  It is exact at every
+        i: for 0 < i < n, s_i f - f is antisymmetric in x_i, x_(i+1) and
+        so divisible by x_(i+1) - x_i; for i = n and i = 0 each monomial
+        contributes u^m - v^m with u - v equal to den_i up to a unit
+        (u, v = x_n^(-1), x_n and q x_1^(-1), x_1), and u - v divides
         u^m - v^m.
+
+        The coefficient is applied in remainder form (see _t_split).
+        Scaling num_i and den_i by one unit leaves their quotient alone,
+        so t_i^(-1/2) num_i / den_i = num / den with den monic, and
+        num = alpha den + rest.  With Q = (s_i f - f) / den,
+            t_i^(-1/2) num_i (s_i f - f) / den_i = num Q
+                = alpha (s_i f - f) + rest Q,
+        so T_i^(+-1) f = (t_i^(+-1/2) - alpha) f + alpha s_i f + rest Q,
+        the same polynomial as the formula above.  den is x_i - x_(i+1),
+        x_n^2 - 1 or x_1^2 - q, so exact_divide finds Q by running sums
+        (times q at i = 0), and rest has one term for 0 < i < n, two at
+        i = 0, n.  alpha is t_i^(1/2) for i > 0 (at i = n since ab = -t_n)
+        and t_0^(-1/2) at i = 0, so the f term drops out of T_i for i > 0
+        and of T_0^(-1).
         """
-        diff = apply_simple_reflection(i, f) - f
-        lead = self._t_half[i] if sign > 0 else self._t_half_inv[i]
+        reflected = apply_simple_reflection(i, f)
+        diff = reflected - f
         if not diff:
-            return f * lead
-        num, den = self._frac[i]
-        return f * lead + exact_divide(diff, den) * num
+            return f * (self._t_half[i] if sign > 0 else self._t_half_inv[i])
+        alpha, rest, den, gaps = self._split[i]
+        out = reflected.scale(alpha) + rest * exact_divide(diff, den)
+        gap = gaps[1 if sign > 0 else -1]
+        return out + f.scale(gap) if gap else out
 
     def x(self, i, f, sign=1):
         """Multiply by x_i^sign."""

@@ -381,6 +381,52 @@ PINNED_STDOUT = {
         ':"1167085752/353637889","exp":[1,0,0,0]},{"coeff":1,"exp":[1,0,0,'
         '1]},{"coeff":1,"exp":[1,0,1,0]},{"coeff":1,"exp":[1,1,0,0]}],"ver'
         'ified":true}' "\n"),
+    ("compute-e", "--n", "3", "--alpha", "2,-1,0"): (
+        '{"label":[2,-1,0],"n":3,"spectrum":[45360,"1/1260",35],"terms":[{"'
+        'coeff":"25311454854626757504/30457162402656091459","exp":[-2,-1,0]'
+        '},{"coeff":"1528823808/2114683163","exp":[-2,0,-1]},{"coeff":"1283'
+        '270669813302397475840/513407684575172974841089","exp":[-2,0,0]},{"'
+        'coeff":"1528823808/2114683163","exp":[-2,0,1]},{"coeff":"46448640/'
+        '57153599","exp":[-2,1,0]},{"coeff":"426126517248/518097374935","ex'
+        'p":[-1,-2,0]},{"coeff":"9284350441189680897024/5330003420464816005'
+        '325","exp":[-1,-1,-1]},{"coeff":"47487583263624314148757371072/817'
+        '6017376859629624344342325","exp":[-1,-1,0]},{"coeff":"928435044118'
+        '9680897024/5330003420464816005325","exp":[-1,-1,1]},{"coeff":"1672'
+        '151040/2114683163","exp":[-1,0,-2]},{"coeff":"65075819499807686080'
+        '4210688/166857497486931216823353925","exp":[-1,0,-1]},{"coeff":"39'
+        '7051648441703923194709414918656/43259307940964300342405915241575",'
+        '"exp":[-1,0,0]},{"coeff":"650758194998076860804210688/166857497486'
+        '931216823353925","exp":[-1,0,1]},{"coeff":"1672151040/2114683163",'
+        '"exp":[-1,0,2]},{"coeff":"2100805632/2114683163","exp":[-1,1,-1]},'
+        '{"coeff":"140023638057378744297455616/33371499497386243364670785",'
+        '"exp":[-1,1,0]},{"coeff":"2100805632/2114683163","exp":[-1,1,1]},{'
+        '"coeff":"50803200/57153599","exp":[-1,2,0]},{"coeff":"36864/45325"'
+        ',"exp":[0,-2,-1]},{"coeff":"10685504981943679488/39737058367633376'
+        '75","exp":[0,-2,0]},{"coeff":"36864/45325","exp":[0,-2,1]},{"coeff'
+        '":"1152/1295","exp":[0,-1,-2]},{"coeff":"3473487052250696494503471'
+        '6672/8176017376859629624344342325","exp":[0,-1,-1]},{"coeff":"1138'
+        '1503145288469960285026832608/1169170484890927036281240952475","exp'
+        '":[0,-1,0]},{"coeff":"34734870522506964945034716672/81760173768596'
+        '29624344342325","exp":[0,-1,1]},{"coeff":"1152/1295","exp":[0,-1,2'
+        ']},{"coeff":"15769497612782592/16219207496993215","exp":[0,0,-2]},'
+        '{"coeff":"5693977823518928217821771455488/116917048489092703628124'
+        '0952475","exp":[0,0,-1]},{"coeff":"8982063254057547169099287661355'
+        '52/80338714747505129207325271162925","exp":[0,0,0]},{"coeff":"5693'
+        '977823518928217821771455488/1169170484890927036281240952475","exp"'
+        ':[0,0,1]},{"coeff":"15769497612782592/16219207496993215","exp":[0,'
+        '0,2]},{"coeff":"90055790740021248/81096037484966075","exp":[0,1,-1'
+        ']},{"coeff":"795562053319311830596099357056/1670243549844181480401'
+        '77278925","exp":[0,1,0]},{"coeff":"90055790740021248/8109603748496'
+        '6075","exp":[0,1,1]},{"coeff":"3151465964236800/3243841499398643",'
+        '"exp":[0,2,0]},{"coeff":"32/35","exp":[1,-2,0]},{"coeff":"50656/45'
+        '325","exp":[1,-1,-1]},{"coeff":"2951102607609582510410544336/62892'
+        '4413604586894180334025","exp":[1,-1,0]},{"coeff":"50656/45325","ex'
+        'p":[1,-1,1]},{"coeff":"99059977791376128/81096037484966075","exp":'
+        '[1,0,-1]},{"coeff":"6027508926247903767589424135072/11691704848909'
+        '27036281240952475","exp":[1,0,0]},{"coeff":"99059977791376128/8109'
+        '6037484966075","exp":[1,0,1]},{"coeff":"19809214348766976/16219207'
+        '496993215","exp":[1,1,0]},{"coeff":1,"exp":[2,-1,0]},{"coeff":"620'
+        '32824/56756557","exp":[2,0,0]}],"verified":true}' "\n"),
 }
 
 

@@ -220,3 +220,51 @@ def test_exact_divide_rejects_a_remainder(pair):
     assume(len(g.terms) > 1)
     with pytest.raises(ExactDivisionError):
         exact_divide(f * g + g.ring.monomial(e), g)
+
+
+# -- exact division by a binomial (synthetic division along lines) -------------
+
+def binomial_divisors(ring, rng):
+    """Two-term divisors c_a x^a + c_b x^b, a the graded-lex leading
+    exponent and w = a - b: monic with c_b = -1, monic with a q-type c_b,
+    non-monic, and (from n = 2 on; in one variable w > 0) one with w
+    negative in its first nonzero entry."""
+    dom, n = ring.domain, ring.n
+
+    def exponents():
+        return tuple(rng.randint(-2, 2) for _ in range(n))
+
+    def pair():
+        a, b = exponents(), exponents()
+        while a == b:
+            b = exponents()
+        return sorted((a, b), key=lambda e: (sum(e), e), reverse=True)
+
+    def scalar():
+        return dom.from_int(rng.choice((-3, -2, 2, 3)))
+
+    out = []
+    for ca, cb in ((dom.one, -dom.one), (dom.one, -dom.q),
+                   (scalar(), dom.t * scalar())):
+        a, b = pair()
+        out.append(ring.from_terms({a: ca, b: cb}))
+    if n >= 2:
+        b = exponents()
+        a = (b[0] - 1, b[1] + 2) + b[2:]
+        out.append(ring.from_terms({a: scalar(), b: dom.q * scalar()}))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["specialized", "symbolic"])
+def test_exact_divide_by_a_binomial(n, mode, request):
+    ring = LaurentRing(n, request.getfixturevalue(mode))
+    rng = random.Random(n)
+    for _ in range(4):
+        for g in binomial_divisors(ring, rng):
+            f = random_laurent(ring, rng, radius=3)
+            assert exact_divide(f * g, g) == f
+            e = tuple(rng.randint(-2, 2) for _ in range(n))
+            with pytest.raises(ExactDivisionError):
+                exact_divide(f * g + ring.monomial(e), g)
+            assert exact_divide(ring.zero(), g) == ring.zero()
