@@ -6,19 +6,18 @@ exponential map for affine exponents, the action of the affine simple
 reflections and q-shifts on polynomials, exact division, and evaluation
 at points with nonzero coordinates.
 
-Exact division has two paths.  A divisor of three or more terms goes
-through graded-lex long division with the working terms in a heap.  A
-two-term divisor c_a x^a + c_b x^b, which is what every T_i divides by,
-goes through synthetic division: multiplying by it maps each line
-e + k (a - b) of exponents into itself, so each line of the dividend is
-divided on its own, as a one-variable polynomial by a linear one, from
-the top of the line down.  Either path raises ExactDivisionError on a
-nonzero remainder.
+Exact division takes a divisor of one or two terms, which is every
+denominator the engine has; a product of binomials is divided one
+factor at a time.  A one-term divisor is a unit: a shift plus a scale.
+A two-term divisor c_a x^a + c_b x^b goes through synthetic division:
+multiplying by it maps each line e + k (a - b) of exponents into
+itself, so each line of the dividend is divided on its own, as a
+one-variable polynomial by a linear one, from the top of the line
+down.  A nonzero remainder raises ExactDivisionError.
 """
 
 from __future__ import annotations
 
-import heapq
 from operator import add, sub
 
 
@@ -309,71 +308,29 @@ def exact_divide(f, g):
 
     A failure signals a broken divisibility guarantee upstream.
 
-    A two-term g goes to _divide_binomial, synthetic division along the
-    lines of exponents that g preserves.  Its remainder check is the
-    same condition as here: f = g h splits into one equation per line,
-    so g divides f iff it divides every line, and on one line it is
-    division by a linear polynomial with nonzero constant term, where
-    the quotient is unique and divisibility means a zero remainder.
-
-    Any other g: both sides are shifted by monomials into honest
-    polynomials, divided with a graded-lex term order, and the
-    zero-remainder condition is asserted.  The working terms sit in a
-    heap keyed on the order, each pushed when it enters; entries whose
-    term has cancelled since are skipped.  A popped term never comes
-    back: every later subtraction lands strictly below it, since graded
-    lex is a monomial order.
+    g has one or two terms: every denominator of the engine is a
+    binomial, and a product of binomials is divided one factor at a
+    time.  A one-term g is a unit of the Laurent ring, so h is f
+    shifted and scaled.  A two-term g goes to _divide_binomial,
+    synthetic division along the lines of exponents that g preserves.
+    Its remainder check decides divisibility: f = g h splits into one
+    equation per line, so g divides f iff it divides every line, and on
+    one line it is division by a linear polynomial with nonzero constant
+    term, where the quotient is unique and divisibility means a zero
+    remainder.
     """
     if not g.terms:
         raise ZeroDivisionError("division by the zero polynomial")
+    if len(g.terms) > 2:
+        raise ValueError("exact_divide takes a divisor of at most two terms, "
+                         "not %d" % len(g.terms))
     ring = f.ring
     if not f.terms:
         return ring.zero()
     if len(g.terms) == 2:
         return _divide_binomial(f, g)
-
-    def mins(p):
-        return tuple(min(e[i] for e in p.terms) for i in range(ring.n))
-
-    def entry(e):
-        # heapq pops the least entry, so the graded-lex key is negated
-        return (-sum(e), tuple(-x for x in e), e)
-
-    fmin, gmin = mins(f), mins(g)
-    work = {tuple(a - b for a, b in zip(e, fmin)): c for e, c in f.terms.items()}
-    gshift = {tuple(a - b for a, b in zip(e, gmin)): c for e, c in g.terms.items()}
-
-    lead_g = max(gshift, key=_grlex)
-    cg_inv = gshift[lead_g] ** (-1)
-    rest_g = [(e, c) for e, c in gshift.items() if e != lead_g]
-    heap = [entry(e) for e in work]
-    heapq.heapify(heap)
-    quot = {}
-    while heap:
-        lead_f = heapq.heappop(heap)[2]
-        cf = work.pop(lead_f, None)
-        if cf is None:
-            continue
-        d = tuple(a - b for a, b in zip(lead_f, lead_g))
-        if any(x < 0 for x in d):
-            raise ExactDivisionError("nonzero remainder in exact division")
-        cq = cf * cg_inv
-        quot[d] = cq
-        for e, c in rest_g:
-            key = tuple(a + b for a, b in zip(e, d))
-            cur = work.get(key)
-            if cur is None:
-                work[key] = -(cq * c)
-                heapq.heappush(heap, entry(key))
-            else:
-                s = cur - cq * c
-                if s:
-                    work[key] = s
-                else:
-                    del work[key]
-    shift = tuple(a - b for a, b in zip(fmin, gmin))
-    return LaurentPolynomial(
-        ring, {tuple(a + b for a, b in zip(e, shift)): c for e, c in quot.items()})
+    (e, c), = g.terms.items()
+    return f * ring.monomial([-x for x in e], c ** (-1))
 
 
 def _divide_binomial(f, g):

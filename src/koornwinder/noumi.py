@@ -237,10 +237,16 @@ class NoumiRepresentation:
         """Koornwinder's operator; defined on the symmetric subspace.
 
         The reference operator: the sum of rational-coefficient shift
-        terms is assembled over one common denominator and the final
-        division must be exact; a nonzero remainder means the input was
-        not in the stable subspace.  To test the eigen equation of a
-        symmetric polynomial, d_eigen_holds is far cheaper.
+        terms is assembled over one common denominator, the product of
+        the binomial factors of _d_table, and divided by those factors
+        one at a time.  Each division must be exact; a nonzero remainder
+        means the input was not in the stable subspace.  This is the
+        same statement as one division by the product, since the Laurent
+        ring is an integral domain: if total = f_1...f_k h, every step
+        is exact and the last quotient is h, because quotients are
+        unique; and if every step is exact, the product divides total.
+        To test the eigen equation of a symmetric polynomial,
+        d_eigen_holds is far cheaper.
         """
         ring = self.ring
         pieces, factors = self._d_table()
@@ -255,16 +261,13 @@ class NoumiRepresentation:
                 if k not in own:
                     term = term * fac
             total = total + term
-        if not total:
-            return ring.zero()
-        denominator = ring.one()
-        for fac in factors:
-            denominator = denominator * fac
         try:
-            return exact_divide(total, denominator)
+            for fac in factors:
+                total = exact_divide(total, fac)
         except ExactDivisionError:
             raise ValueError(
                 "input is not in the stable (symmetric) subspace") from None
+        return total
 
     def d_eigen_holds(self, f, lam):
         """Whether D f == E(lam) f, for a W0-invariant Laurent polynomial f.

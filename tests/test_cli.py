@@ -430,7 +430,7 @@ PINNED_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
+@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT), ids=" ".join)
 def test_symbolic_stdout_is_pinned(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -262,9 +262,18 @@ def test_koornwinder_d_eigen_rank_one(rep1):
     assert rep1.koornwinder_d(p1) == p1 * d1
 
 
-def test_koornwinder_d_rejects_nonsymmetric(rep2):
+@pytest.mark.parametrize("mode, n", [("specialized", 1), ("specialized", 2),
+                                     ("specialized", 3), ("symbolic", 1)])
+def test_koornwinder_d_rejects_nonsymmetric(mode, n, request):
+    rep = NoumiRepresentation(LaurentRing(n, request.getfixturevalue(mode)))
+    ring = rep.ring
     with pytest.raises(ValueError):
-        rep2.koornwinder_d(rep2.ring.gen(1))
+        rep.koornwinder_d(ring.gen(1))
+    if n > 1:
+        # invariant under each inversion but not under permutations:
+        # the first factors divide, and a later one, x_i - x_j, does not
+        with pytest.raises(ValueError):
+            rep.koornwinder_d(ring.gen(n) + ring.gen(n, -1))
 
 
 def test_koornwinder_d_defined_on_symmetrizer_image(rep2):
