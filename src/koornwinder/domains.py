@@ -14,6 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import getitem
 
 from . import paramfield
 from .paramfield import FieldElement
@@ -120,6 +121,23 @@ class _BaseDomain:
             return self.t_sqrt
         raise ValueError("generator index out of range: %r" % (i,))
 
+    def evaluate_terms(self, terms, point):
+        """sum_e c_e x^e over the terms {e: c_e} at a point with nonzero
+        coordinates, term by term; each power of a coordinate is computed
+        once per call."""
+        total = self.zero
+        pows = [{} for _ in point]
+        for e, c in terms.items():
+            v = c
+            for i, k in enumerate(e):
+                if k:
+                    pk = pows[i].get(k)
+                    if pk is None:
+                        pk = pows[i][k] = point[i] ** k
+                    v = v * pk
+            total = total + v
+        return total
+
 
 class SymbolicDomain(_BaseDomain):
     """Scalars are exact symbolic field elements."""
@@ -184,6 +202,47 @@ class SpecializedDomain(_BaseDomain):
     def common_denominator(self, values):
         """The lcm of the denominators of the values."""
         return Fraction(math.lcm(*(v.denominator for v in values)))
+
+    def evaluate_terms(self, terms, point):
+        """sum_e c_e x^e over one common denominator, reduced to lowest
+        terms once per call rather than once per arithmetic operation.
+
+        Write x_i = a_i / b_i in lowest terms (b_i > 0) and let l_i, h_i be
+        the least and largest exponent of x_i over the terms.  Then
+        x_i^e_i = a_i^(e_i - l_i) b_i^(h_i - e_i) * a_i^l_i / b_i^h_i, where
+        both exponents of the first factor lie in 0..h_i - l_i.  With L
+        the lcm of the coefficient denominators,
+            sum_e c_e x^e = S * prod_i a_i^l_i / b_i^h_i / L,
+            S = sum_e (L c_e) prod_i a_i^(e_i - l_i) b_i^(h_i - e_i),
+        an integer summed from one table of a^j b^(h - l - j) per
+        variable.  One Fraction is built at the end.
+        """
+        if not terms:
+            return self.zero
+        lcm = math.lcm(*(c.denominator for c in terms.values()))
+        num, den = 1, lcm
+        tables = []
+        for x, column in zip(point, zip(*terms)):
+            a, b = x.numerator, x.denominator
+            low, high = min(column), max(column)
+            if low >= 0:
+                num *= a ** low
+            else:
+                den *= a ** -low
+            if high >= 0:
+                den *= b ** high
+            else:
+                num *= b ** -high
+            width = high - low
+            row = [a ** j for j in range(width + 1)]
+            if b != 1:
+                row = [v * b ** (width - j) for j, v in enumerate(row)]
+            tables.append({low + j: v for j, v in enumerate(row)})
+        total = 0
+        for e, c in terms.items():
+            total += (c.numerator * (lcm // c.denominator)
+                      * math.prod(map(getitem, tables, e)))
+        return Fraction(total * num, den)
 
     def star_domain(self):
         return SpecializedDomain(self.assignment.star())

@@ -195,25 +195,16 @@ class LaurentPolynomial:
         return max(sum(abs(x) for x in e) for e in self.terms)
 
     def evaluate(self, point):
-        """Exact substitution x_i -> point_i; all coordinates must be nonzero."""
+        """Exact substitution x_i -> point_i; all coordinates must be nonzero.
+
+        The domain sums the terms: a specialized domain over one common
+        denominator, a symbolic one term by term."""
         point = tuple(point)
         if len(point) != self.ring.n:
             raise ValueError("evaluation point has wrong length")
         if any(not p for p in point):
             raise ValueError("evaluation point has a zero coordinate")
-        total = self.ring.domain.zero
-        pows = [{} for _ in range(self.ring.n)]
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    pk = pows[i].get(k)
-                    if pk is None:
-                        pk = point[i] ** k
-                        pows[i][k] = pk
-                    v = v * pk
-            total = total + v
-        return total
+        return self.ring.domain.evaluate_terms(self.terms, point)
 
     def to_json(self):
         enc = self.ring.domain.encode_scalar

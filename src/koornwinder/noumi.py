@@ -13,6 +13,7 @@ and a relation-check suite for the defining presentation.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import weyl
@@ -158,7 +159,18 @@ class NoumiRepresentation:
         sum_w chi(w) T_w / sum_w chi(w)^2 with chi(T_i) = t_i^(1/2).
 
         Acts as the identity on symmetric polynomials and projects onto
-        them in general.  The sum factors along the parabolic chain
+        them in general.  It is the sum of _symmetrizer_sum times the
+        inverse of its normalizer.
+        """
+        total, norm = self._symmetrizer_sum(f)
+        return total.scale(norm ** (-1))
+
+    def _symmetrizer_sum(self, f):
+        """(sum_w chi(w) T_w f, sum_w chi(w)^2): the symmetrizer's sum and
+        its normalizer, kept apart so that a caller that rescales the
+        image anyway never scales by the normalizer.
+
+        The sum factors along the parabolic chain
         W0 = W_1 > W_2 > ... > W_n, where W_m is generated by s_m, ..., s_n:
         every w in W_m is uniquely u*v with v in W_{m+1} and u a minimal
         coset representative, lengths adding (Bjorner-Brenti, parabolic
@@ -180,7 +192,7 @@ class NoumiRepresentation:
                 level_norm = level_norm + chi * chi
             f = total
             norm = norm * level_norm
-        return f * norm ** (-1)
+        return f, norm
 
     # -- the q-difference operator ----------------------------------------
 
@@ -293,6 +305,13 @@ class NoumiRepresentation:
         vanishes: no denominator factor of D vanishes at a point, and each
         point tests R * prod(factors) = 0.  The equation is linear in f,
         so it is checked on f with its coefficient denominators cleared.
+
+        At each point, f and its 2n q-shifts (built once, by
+        apply_translation) are evaluated as polynomials, and the
+        denominator factors and numerator binomials of _d_table as
+        scalars: each binomial once per point, from a per-point memo of
+        the monomials x^e they share.  This is how the values are
+        computed, not what is tested; every value is exact.
         """
         dom, n = self.domain, self.n
         if any(apply_simple_reflection(i, f) != f for i in range(1, n + 1)):
@@ -302,11 +321,14 @@ class NoumiRepresentation:
             return True
         f = f.scale(dom.common_denominator(f.terms.values()))
         pieces, factors = self._d_table()
-        shifted = [(apply_translation(i, f, d), numerator, own)
+        shifted = [(apply_translation(i, f, d),
+                    [tuple(p.terms.items()) for p in numerator], own)
                    for i, d, numerator, own in pieces]
+        factors = [tuple(fac.terms.items()) for fac in factors]
         degree = max(abs(k) for e in f.terms for k in e)
         for point in itertools.combinations(self._grid_pool(degree), n):
-            values = [fac.evaluate(point) for fac in factors]
+            powers = {}
+            values = [_binomial_at(fac, point, powers) for fac in factors]
             fx = f.evaluate(point)
             total = -eigenvalue
             for v in values:
@@ -315,7 +337,7 @@ class NoumiRepresentation:
             for g, numerator, own in shifted:
                 weight = dom.one
                 for p in numerator:
-                    weight = weight * p.evaluate(point)
+                    weight = weight * _binomial_at(p, point, powers)
                 for k, v in enumerate(values):
                     if k not in own:
                         weight = weight * v
@@ -346,6 +368,22 @@ class NoumiRepresentation:
                      + lead * dom.t ** (2 * n - i - 1) * (dom.q_pow(li) - dom.one)
                      + dom.t ** (i - 1) * (dom.q_pow(-li) - dom.one))
         return total
+
+
+def _binomial_at(terms, point, powers):
+    """The value at point of a polynomial of one or two terms, given as
+    (e, c) pairs.  Each x^e is read from the per-point memo powers, and
+    added there on a miss."""
+    total = None
+    for e, c in terms:
+        if any(e):
+            xe = powers.get(e)
+            if xe is None:
+                xe = powers[e] = math.prod(x ** k for x, k in zip(point, e)
+                                           if k)
+            c = c * xe
+        total = c if total is None else total + c
+    return total
 
 
 # ---------------------------------------------------------------------------

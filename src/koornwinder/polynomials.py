@@ -188,7 +188,9 @@ class KoornwinderFamily:
         if cached is not None:
             return cached
         raw, _ = self._generic_state(lam)
-        image = self.rep.symmetrizer(raw)
+        # the symmetrizer's normalizer is a nonzero scalar, which the
+        # monic normalization below removes anyway, so it is never applied
+        image, _ = self.rep._symmetrizer_sum(raw)
         lead = image.coefficient(lam)
         if not lead:
             raise NonGenericParametersError(

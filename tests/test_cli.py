@@ -272,6 +272,10 @@ def test_failed_eigen_check_exits_one(capsys, monkeypatch):
 # moved onto sympy's sparse polynomial ring; the canonical form must not
 # change a byte.  The two specialized compute-p commands were recorded
 # while D's eigen equation was still checked on the (d+1)^n product grid.
+# The specialized check-duality report was recorded while
+# LaurentPolynomial.evaluate still summed term by term in Fractions; it
+# pins every pairing and evaluation ratio, all of which the specialized
+# common-denominator evaluation now computes.
 PINNED_STDOUT = {
     ("compute-e", "--n", "1", "--alpha", "-1", "--mode", "symbolic"): (
         '{"label":[-1],"n":1,"spectrum":[{"den":[["1",[2,0,1,1,0,0]]],"nu'
@@ -427,6 +431,37 @@ PINNED_STDOUT = {
         '6037484966075","exp":[1,0,1]},{"coeff":"19809214348766976/16219207'
         '496993215","exp":[1,1,0]},{"coeff":1,"exp":[2,-1,0]},{"coeff":"620'
         '32824/56756557","exp":[2,0,0]}],"verified":true}' "\n"),
+    ("check-duality", "--n", "2", "--max-weight", "1"): (
+        '{"all_pass":true,"checks":[{"kind":"E","left":[-1,0],"right":[-1,0'
+        '],"status":"pass"},{"kind":"E","left":[-1,0],"right":[0,-1],"statu'
+        's":"pass"},{"kind":"E","left":[-1,0],"right":[0,0],"status":"pass"'
+        '},{"kind":"E","left":[-1,0],"right":[0,1],"status":"pass"},{"kind"'
+        ':"E","left":[-1,0],"right":[1,0],"status":"pass"},{"kind":"E","lef'
+        't":[0,-1],"right":[-1,0],"status":"pass"},{"kind":"E","left":[0,-1'
+        '],"right":[0,-1],"status":"pass"},{"kind":"E","left":[0,-1],"right'
+        '":[0,0],"status":"pass"},{"kind":"E","left":[0,-1],"right":[0,1],"'
+        'status":"pass"},{"kind":"E","left":[0,-1],"right":[1,0],"status":"'
+        'pass"},{"kind":"E","left":[0,0],"right":[-1,0],"status":"pass"},{"'
+        'kind":"E","left":[0,0],"right":[0,-1],"status":"pass"},{"kind":"E"'
+        ',"left":[0,0],"right":[0,0],"status":"pass"},{"kind":"E","left":[0'
+        ',0],"right":[0,1],"status":"pass"},{"kind":"E","left":[0,0],"right'
+        '":[1,0],"status":"pass"},{"kind":"E","left":[0,1],"right":[-1,0],"'
+        'status":"pass"},{"kind":"E","left":[0,1],"right":[0,-1],"status":"'
+        'pass"},{"kind":"E","left":[0,1],"right":[0,0],"status":"pass"},{"k'
+        'ind":"E","left":[0,1],"right":[0,1],"status":"pass"},{"kind":"E","'
+        'left":[0,1],"right":[1,0],"status":"pass"},{"kind":"E","left":[1,0'
+        '],"right":[-1,0],"status":"pass"},{"kind":"E","left":[1,0],"right"'
+        ':[0,-1],"status":"pass"},{"kind":"E","left":[1,0],"right":[0,0],"s'
+        'tatus":"pass"},{"kind":"E","left":[1,0],"right":[0,1],"status":"pa'
+        'ss"},{"kind":"E","left":[1,0],"right":[1,0],"status":"pass"},{"kin'
+        'd":"P","left":[0,0],"right":[0,0],"status":"pass"},{"kind":"ratio"'
+        ',"left":[0,0],"right":[0,0],"status":"pass"},{"kind":"P","left":[0'
+        ',0],"right":[1,0],"status":"pass"},{"kind":"ratio","left":[0,0],"r'
+        'ight":[1,0],"status":"pass"},{"kind":"P","left":[1,0],"right":[0,0'
+        '],"status":"pass"},{"kind":"ratio","left":[1,0],"right":[0,0],"sta'
+        'tus":"pass"},{"kind":"P","left":[1,0],"right":[1,0],"status":"pass'
+        '"},{"kind":"ratio","left":[1,0],"right":[1,0],"status":"pass"}],"m'
+        'ax_weight":1,"mode":"specialized","n":2}' "\n"),
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -150,6 +151,61 @@ def test_evaluate(ring):
         ring.one().evaluate((d.zero, d.one))
     with pytest.raises(ValueError):
         ring.one().evaluate((d.one,))
+
+
+def term_by_term(terms, point):
+    """The reference sum: every term a Fraction product of its own."""
+    total = Fraction(0)
+    for e, c in terms.items():
+        v = Fraction(c)
+        for x, k in zip(point, e):
+            v *= Fraction(x) ** k
+        total += v
+    return total
+
+
+# coordinates that are negative, non-integer, or plain ints (a negative
+# power of an int must stay a Fraction), per rank
+_POINTS = ((Fraction(-3, 2),), (Fraction(5, 7), -2),
+           (Fraction(-2, 9), Fraction(7, 4), 3),
+           (2, Fraction(-1, 3), Fraction(11, 5), -5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("low, high", [(1, 4), (-4, -1), (-3, 3)],
+                         ids=["positive", "negative", "mixed"])
+def test_specialized_evaluate_matches_term_by_term(specialized, n, low, high):
+    # the common-denominator kernel against one Fraction product per term
+    ring = LaurentRing(n, specialized)
+    rng = random.Random(10 * n + low)
+    points = [_POINTS[n - 1]]
+    for _ in range(5):
+        points.append(tuple(
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                     rng.randint(1, 5)) for _ in range(n)))
+    polys = []
+    for size in (1, 2, 6, 12):
+        terms = {}
+        for _ in range(size):
+            e = tuple(rng.randint(low, high) for _ in range(n))
+            terms[e] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 40),
+                                rng.randint(1, 12))
+        polys.append(ring.from_terms(terms))
+    for f in polys:
+        for point in points:
+            value = f.evaluate(point)
+            assert isinstance(value, Fraction)
+            assert value == term_by_term(f.terms, point)
+    zero = ring.zero()
+    assert zero.evaluate(points[0]) == 0
+    with pytest.raises(ValueError, match="zero coordinate"):
+        polys[-1].evaluate((Fraction(0),) + points[0][1:])
+    with pytest.raises(ValueError, match="zero coordinate"):
+        zero.evaluate(points[0][:-1] + (0,))
+    with pytest.raises(ValueError, match="wrong length"):
+        polys[-1].evaluate(points[0] + (Fraction(1),))
+    with pytest.raises(ValueError, match="wrong length"):
+        zero.evaluate(points[0][1:])
 
 
 def test_json_and_text(ring):

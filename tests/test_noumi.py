@@ -418,6 +418,21 @@ def test_d_eigen_holds_rejects_perturbations(n, weight):
         assert not rep.d_eigen_holds(poly, other)
 
 
+@pytest.mark.parametrize("lam", [(2, 0), (2, 1, 0)])
+def test_d_eigen_holds_rejects_a_tiny_perturbation(lam):
+    # the constant term is W0-invariant on its own, so the perturbed
+    # polynomial is still invariant with the same degree bound; D kills
+    # constants, so its residual is -E(lam) * 10^-30, which only exact
+    # arithmetic tells from zero
+    family = KoornwinderFamily(len(lam), SpecializedDomain())
+    rep = family.rep
+    poly = family.symmetric(lam).poly
+    bad = poly + family.ring.scalar(Fraction(1, 10 ** 30))
+    assert rep.d_eigenvalue(lam)
+    assert rep.d_eigen_holds(poly, lam)
+    assert not rep.d_eigen_holds(bad, lam)
+
+
 def test_d_eigen_holds_requires_invariance(rep2):
     with pytest.raises(ValueError):
         rep2.d_eigen_holds(rep2.ring.gen(1), (1, 0))
