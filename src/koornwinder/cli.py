@@ -164,8 +164,7 @@ def _cmd_compute(args, symmetric):
 def _cmd_basis_check(args):
     def run(assignment):
         domain = make_domain(args.mode, assignment)
-        family = KoornwinderFamily(args.n, domain, cache_dir=_cache_dir(args))
-        return family.basis_check(args.degree)
+        return KoornwinderFamily(args.n, domain).basis_check(args.degree)
 
     report = _with_redraw(args, run)
     _emit(report, args.as_json,

@@ -59,57 +59,56 @@ class DualityChecker:
         else:
             self.star_family = KoornwinderFamily(
                 family.n, family.domain.star_domain())
-        self._star_polys = {}
-        self._pairings = {}
-        self._base_values = {}
+        # every starred polynomial, value and pairing computed so far
+        self._memo = {}
 
     def _fam(self, starred):
         return self.star_family if starred else self.family
 
+    def _cached(self, key, compute):
+        """The memo entry for key, computed by compute() on first use."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
     def _star_poly(self, kind, label, starred=False):
         """The starred polynomial, nonsymmetric or symmetric by kind, with
         coefficients valued in the (starred ? twin : primary) domain."""
-        key = (kind, tuple(label), starred)
-        cached = self._star_polys.get(key)
-        if cached is not None:
-            return cached
-        if self.symbolic:
-            out = star_polynomial(getattr(self.family, kind)(label).poly)
-        else:
+        def compute():
+            if self.symbolic:
+                return star_polynomial(getattr(self.family, kind)(label).poly)
             source = getattr(self._fam(not starred), kind)(label).poly
-            out = _inverted(self._fam(starred).ring.from_terms(source.terms))
-        self._star_polys[key] = out
-        return out
+            return _inverted(self._fam(starred).ring.from_terms(source.terms))
+        return self._cached(("star", kind, tuple(label), starred), compute)
 
     # -- pairings --------------------------------------------------------
+
+    def _star_value(self, kind, left, right, starred):
+        """The starred polynomial of left at the spectral point of right,
+        q^(right + rho)."""
+        dom = self._fam(starred).domain
+        return self._cached(
+            ("star value", kind, tuple(left), tuple(right), starred),
+            lambda: self._star_poly(kind, left, starred).evaluate(
+                weyl.spectral_vector(tuple(right), dom)))
 
     def _pairing(self, kind, left, right, starred):
         """The starred polynomial of left at the spectral point of right,
         times the polynomial of right at the inverted dual base point;
         nonsymmetric or symmetric by kind."""
-        key = (kind, tuple(left), tuple(right), starred)
-        cached = self._pairings.get(key)
-        if cached is not None:
-            return cached
-        dom = self._fam(starred).domain
-        value = (self._star_poly(kind, left, starred).evaluate(
-                     weyl.spectral_vector(tuple(right), dom))
-                 * self._base_value(kind, right, starred))
-        self._pairings[key] = value
-        return value
+        return self._cached(
+            ("pairing", kind, tuple(left), tuple(right), starred),
+            lambda: (self._star_value(kind, left, right, starred)
+                     * self._base_value(kind, right, starred)))
 
     def _base_value(self, kind, label, starred):
         """The polynomial of label at the inverted dual base point, shared
         by every pairing with label on the right."""
-        key = (kind, tuple(label), starred)
-        cached = self._base_values.get(key)
-        if cached is not None:
-            return cached
         fam = self._fam(starred)
-        value = getattr(fam, kind)(label).poly.evaluate(
-            dual_spectral_point(fam.domain, (0,) * self.n, -1))
-        self._base_values[key] = value
-        return value
+        return self._cached(
+            ("base", kind, tuple(label), starred),
+            lambda: getattr(fam, kind)(label).poly.evaluate(
+                dual_spectral_point(fam.domain, (0,) * self.n, -1)))
 
     def pairing_e(self, alpha, beta, starred=False):
         """E*_alpha at the spectral point of beta, times E_beta at the
@@ -148,12 +147,11 @@ class DualityChecker:
         """
         dom = self.family.domain
         p_lam = self.family.symmetric(lam).poly
-        p_mu_star = self._star_poly("symmetric", mu)
         zero = (0,) * self.n
         lhs = (p_lam.evaluate(dual_spectral_point(dom, tuple(mu)))
                / p_lam.evaluate(dual_spectral_point(dom, zero)))
-        rhs = (p_mu_star.evaluate(weyl.spectral_vector(tuple(lam), dom))
-               / p_mu_star.evaluate(weyl.spectral_vector(zero, dom)))
+        rhs = (self._star_value("symmetric", mu, lam, False)
+               / self._star_value("symmetric", mu, zero, False))
         return lhs == rhs
 
 

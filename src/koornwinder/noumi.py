@@ -13,7 +13,6 @@ and a relation-check suite for the defining presentation.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from . import weyl
@@ -205,8 +204,7 @@ class NoumiRepresentation:
         direction +1, -1 (-1 substitutes x_i -> 1/x_i), so that the term's
         coefficient is prod(numerator) / prod(factors[k] for k in own).
         The numerator is kept as its list of binomials and one monomial
-        unit, which are cheaper to evaluate than their product.  Built
-        once per representation.
+        unit.  Built once per representation.
         """
         if self._d_terms is not None:
             return self._d_terms
@@ -299,19 +297,25 @@ class NoumiRepresentation:
         permutation of an increasing one.  z is injective on x > 1, so S
         gives d+n distinct z-values, and A vanishes identically (Alon,
         Combin. Probab. Comput. 8, 1999, Lemma 2.1); the product does
-        not, so neither does R.  S avoids the roots of 1 - q x^{+-2},
-        1 - x^{+-2} has none at x >= 2, and the coordinates of a point are
-        distinct integers >= 2, so no cross factor 1 - x_i^{+-1} x_j^{+-1}
-        vanishes: no denominator factor of D vanishes at a point, and each
-        point tests R * prod(factors) = 0.  The equation is linear in f,
-        so it is checked on f with its coefficient denominators cleared.
+        not, so neither does R.
 
-        At each point, f and its 2n q-shifts (built once, by
-        apply_translation) are evaluated as polynomials, and the
-        denominator factors and numerator binomials of _d_table as
-        scalars: each binomial once per point, from a per-point memo of
-        the monomials x^e they share.  This is how the values are
-        computed, not what is tested; every value is exact.
+        D f = sum_{i, +-} Phi_i^+-(x) (f(x_i -> q^+-1 x_i) - f(x)), with
+        Koornwinder's coefficient
+            Phi_i^+-(x) = (1 - a y)(1 - b y)(1 - c y)(1 - d y)
+                          / ((1 - y^2)(1 - q y^2))
+                          * prod_{j != i} (1 - t y x_j)(1 - t y / x_j)
+                                          / ((1 - y x_j)(1 - y / x_j)),
+        y = x_i^+-1.  Each point tests Q R = 0 with Q = prod_{i, +-}
+        (1 - q x_i^+-2), which is nonzero there because S avoids the roots
+        of 1 - q x^+-2.  The other denominator factors are free of the
+        parameters and nonzero at a point as well: 1 - x^+-2 has no root
+        at x >= 2, and the coordinates are distinct integers >= 2, so no
+        1 - x_i^+-1 x_j^+-1 vanishes.  So Q Phi_i^+- is computed at the
+        point as the product of its numerator factors with the other
+        2n - 1 factors of Q, divided by those parameter-free factors, and
+        f and its 2n q-shifts (built once, by apply_translation) are
+        evaluated as polynomials.  The equation is linear in f, so it is
+        checked on f with its coefficient denominators cleared.
         """
         dom, n = self.domain, self.n
         if any(apply_simple_reflection(i, f) != f for i in range(1, n + 1)):
@@ -320,28 +324,30 @@ class NoumiRepresentation:
         if not f:
             return True
         f = f.scale(dom.common_denominator(f.terms.values()))
-        pieces, factors = self._d_table()
-        shifted = [(apply_translation(i, f, d),
-                    [tuple(p.terms.items()) for p in numerator], own)
-                   for i, d, numerator, own in pieces]
-        factors = [tuple(fac.terms.items()) for fac in factors]
+        shifted = [apply_translation(i, f, d)
+                   for i in range(1, n + 1) for d in (1, -1)]
         degree = max(abs(k) for e in f.terms for k in e)
         for point in itertools.combinations(self._grid_pool(degree), n):
-            powers = {}
-            values = [_binomial_at(fac, point, powers) for fac in factors]
             fx = f.evaluate(point)
+            # y = x_i^+-1 in the order of shifted, and the factors of Q
+            ys = [x ** d for x in point for d in (1, -1)]
+            qs = [dom.one - dom.q * (y * y) for y in ys]
             total = -eigenvalue
-            for v in values:
+            for v in qs + [fx]:
                 total = total * v
-            total = total * fx
-            for g, numerator, own in shifted:
-                weight = dom.one
-                for p in numerator:
-                    weight = weight * _binomial_at(p, point, powers)
-                for k, v in enumerate(values):
-                    if k not in own:
-                        weight = weight * v
-                total = total + weight * (g.evaluate(point) - fx)
+            for k, (y, g) in enumerate(zip(ys, shifted)):
+                others = point[:k // 2] + point[k // 2 + 1:]
+                num = dom.one
+                for v in ([dom.one - p * y
+                           for p in (dom.a, dom.b, dom.c, dom.d)]
+                          + [dom.one - dom.t * (y * x ** e)
+                             for x in others for e in (1, -1)]
+                          + qs[:k] + qs[k + 1:]):
+                    num = num * v
+                free = 1 - y * y
+                for x in others:
+                    free = free * (1 - y * x) * (1 - y / x)
+                total = total + num / free * (g.evaluate(point) - fx)
             if total:
                 return False
         return True
@@ -368,22 +374,6 @@ class NoumiRepresentation:
                      + lead * dom.t ** (2 * n - i - 1) * (dom.q_pow(li) - dom.one)
                      + dom.t ** (i - 1) * (dom.q_pow(-li) - dom.one))
         return total
-
-
-def _binomial_at(terms, point, powers):
-    """The value at point of a polynomial of one or two terms, given as
-    (e, c) pairs.  Each x^e is read from the per-point memo powers, and
-    added there on a miss."""
-    total = None
-    for e, c in terms:
-        if any(e):
-            xe = powers.get(e)
-            if xe is None:
-                xe = powers[e] = math.prod(x ** k for x, k in zip(point, e)
-                                           if k)
-            c = c * xe
-        total = c if total is None else total + c
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from graphlib import CycleError, TopologicalSorter
 
 from . import weyl
 from .intertwine import apply_intertwiner, spectral_intertwiner
-from .laurent import LaurentRing, LaurentPolynomial, apply_simple_reflection
+from .laurent import LaurentRing, LaurentPolynomial
 from .noumi import NoumiRepresentation, monomial_exponents
 from .oracle import EigenOracle, matrix_rank
 
@@ -176,10 +176,11 @@ class KoornwinderFamily:
         normalized symmetrizer image of the raw chain state, a nonzero
         multiple of E_lam with smaller coefficients.
 
-        Verified on construction: invariance under the finite generators
-        s_1..s_n, then Koornwinder's eigenvalue equation D P = E(lam) P,
-        decided exactly at finitely many integer points; the docstring of
-        NoumiRepresentation.d_eigen_holds proves that those points suffice.
+        Verified on construction by NoumiRepresentation.d_eigen_holds: it
+        raises ValueError unless P is invariant under the finite
+        generators s_1..s_n, then decides Koornwinder's eigenvalue
+        equation D P = E(lam) P exactly at finitely many integer points;
+        its docstring proves that those points suffice.
         """
         lam = self._label(lam)
         if not weyl.is_partition(lam):
@@ -196,9 +197,6 @@ class KoornwinderFamily:
             raise NonGenericParametersError(
                 "symmetrizer image has no x^%r term" % (lam,))
         poly = image * lead ** (-1)
-        for i in range(1, self.n + 1):
-            if apply_simple_reflection(i, poly) != poly:
-                raise AssertionError("symmetrizer image is not invariant")
         if not self.rep.d_eigen_holds(poly, lam):
             raise AssertionError(
                 "symmetric polynomial fails its eigenvalue equation")
@@ -220,28 +218,29 @@ class KoornwinderFamily:
     def basis_check(self, degree):
         """Exact rank of the change of basis to monomials of weight <= degree.
 
-        Row alpha holds the coefficients of E_alpha.  Certificate: if every
-        E_alpha has coefficient one at x^alpha, and the graph with an edge
-        alpha -> beta for every other beta in the support of E_alpha has no
-        cycle, then list the labels in a topological order, supports first.
-        Permuting rows and columns by that one order makes the matrix lower
-        unitriangular, so its determinant is 1 and the rank is the size.
+        Row alpha holds the coefficients of the raw chain state of alpha,
+        a nonzero multiple of E_alpha built here, never read from the disk
+        cache; scaling rows by nonzero scalars keeps the rank.  Certificate:
+        each row's coefficient at x^alpha is nonzero (_generic_state raises
+        otherwise), so if the graph with an edge alpha -> beta for every
+        other beta in the support of row alpha has no cycle, list the
+        labels in a topological order, supports first.  Permuting rows and
+        columns by that one order makes the matrix lower triangular with a
+        nonzero diagonal, so it is invertible and the rank is the size.
         This is the triangularity E_alpha = x^alpha + lower terms (Sahi
-        1999; Macdonald 2003), checked on the actual rows, which may come
-        from an untrusted disk cache.  A cycle or another diagonal entry
-        proves nothing either way, so the rank is then computed by
-        elimination.
+        1999; Macdonald 2003), checked on the actual rows.  A cycle proves
+        nothing either way, so the rank of the same rows is then computed
+        by elimination.
         """
         exponents = monomial_exponents(self.n, degree)
         index = {e: k for k, e in enumerate(exponents)}
-        zero, one = self.domain.zero, self.domain.one
+        zero = self.domain.zero
         rows = []
         graph = TopologicalSorter()
-        triangular = True
         for alpha in exponents:
-            poly = self.nonsymmetric(alpha).poly
+            raw, _ = self._generic_state(alpha)
             row = [zero] * len(exponents)
-            for e, c in poly.terms.items():
+            for e, c in raw.terms.items():
                 k = index.get(e)
                 if k is None:
                     return {"n": self.n, "degree": degree,
@@ -250,13 +249,12 @@ class KoornwinderFamily:
                             "error": "support escapes the filtration"}
                 row[k] = c
             rows.append(row)
-            triangular = triangular and poly.coefficient(alpha) == one
-            graph.add(alpha, *(e for e in poly.terms if e != alpha))
+            graph.add(alpha, *(e for e in raw.terms if e != alpha))
         try:
             graph.prepare()
+            rank = len(exponents)
         except CycleError:
-            triangular = False
-        rank = len(exponents) if triangular else matrix_rank(rows, self.domain)
+            rank = matrix_rank(rows, self.domain)
         return {"n": self.n, "degree": degree, "size": len(exponents),
                 "rank": rank, "invertible": rank == len(exponents)}
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -250,6 +251,34 @@ def test_compute_p_ignores_a_poisoned_cache_entry(capsys, tmp_path):
     path.write_text(json.dumps(entry))
     poisoned = path.read_bytes()
     args = ("compute-p", "--n", "2", "--lambda", "1,0")
+    code, clean, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0
+    assert out == clean
+    assert _only_cache_file(cache).read_bytes() == poisoned
+
+
+def test_basis_check_ignores_a_poisoned_cache_entry(capsys, tmp_path):
+    # the E_(-1) entry replaced by the multiple of E_(1) that is one at
+    # x^-1 would make two rows proportional; basis-check ranks the chain
+    # states it builds, so it neither reads nor rewrites the entry
+    cache = tmp_path / "cache"
+    code, _, _ = run_cli(capsys, "compute-e", "--n", "1", "--alpha", "-1",
+                         "--cache-dir", str(cache))
+    assert code == 0
+    path = _only_cache_file(cache)
+    code, out, _ = run_cli(capsys, "compute-e", "--n", "1", "--alpha", "1")
+    assert code == 0
+    terms = json.loads(out)["terms"]
+    lead = next(Fraction(t["coeff"]) for t in terms if t["exp"] == [-1])
+    entry = json.loads(path.read_text())
+    entry["terms"] = [{"exp": t["exp"],
+                       "coeff": str(Fraction(t["coeff"]) / lead)}
+                      for t in terms]
+    path.write_text(json.dumps(entry))
+    poisoned = path.read_bytes()
+    args = ("basis-check", "--n", "1", "--degree", "1")
     code, clean, _ = run_cli(capsys, *args)
     assert code == 0
     code, out, _ = run_cli(capsys, *args, "--cache-dir", str(cache))

@@ -397,17 +397,15 @@ def test_d_eigen_holds_agrees_with_reference_symbolic(symbolic, n, labels):
         assert rep.d_eigen_holds(poly, lam)
 
 
-@pytest.mark.parametrize("n, weight", [(1, 4), (2, 3), (3, 2), (4, 1)])
-def test_d_eigen_holds_rejects_perturbations(n, weight):
-    family = KoornwinderFamily(n, SpecializedDomain())
-    rep, ring, dom = family.rep, family.ring, family.domain
-    for lam in weyl.partitions_up_to(n, weight):
+def _assert_rejects_perturbations(family, labels):
+    rep, ring = family.rep, family.ring
+    for lam in labels:
         if not any(lam):
             continue    # constants are D-eigen for every added constant
         poly = family.symmetric(lam).poly
         d = lam[0]
         # every W0-invariant perturbation that keeps the degree bound d
-        for mu in weyl.partitions_up_to(n, n * d):
+        for mu in weyl.partitions_up_to(family.n, family.n * d):
             if mu[0] > d:
                 continue
             bad = poly + _orbit_sum(ring, mu).scale(Fraction(3, 7))
@@ -416,6 +414,17 @@ def test_d_eigen_holds_rejects_perturbations(n, weight):
         other = (lam[0] + 1,) + lam[1:]
         assert rep.d_eigenvalue(other) != rep.d_eigenvalue(lam)
         assert not rep.d_eigen_holds(poly, other)
+
+
+@pytest.mark.parametrize("n, weight", [(1, 4), (2, 3), (3, 2), (4, 1)])
+def test_d_eigen_holds_rejects_perturbations(n, weight):
+    _assert_rejects_perturbations(KoornwinderFamily(n, SpecializedDomain()),
+                                  weyl.partitions_up_to(n, weight))
+
+
+@pytest.mark.parametrize("lam", [(2,), (1, 0)])
+def test_d_eigen_holds_rejects_perturbations_symbolic(symbolic, lam):
+    _assert_rejects_perturbations(KoornwinderFamily(len(lam), symbolic), [lam])
 
 
 @pytest.mark.parametrize("lam", [(2, 0), (2, 1, 0)])

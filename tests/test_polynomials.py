@@ -8,7 +8,7 @@ from koornwinder import polynomials, weyl
 from koornwinder.domains import Assignment, SpecializedDomain, SymbolicDomain
 from koornwinder.noumi import monomial_exponents
 from koornwinder.oracle import matrix_rank
-from koornwinder.polynomials import (KoornwinderFamily, LabeledPolynomial,
+from koornwinder.polynomials import (KoornwinderFamily,
                                      NonGenericParametersError)
 
 
@@ -111,8 +111,8 @@ def rank_calls(monkeypatch):
 
 
 def _replace_entry(family, alpha, poly):
-    spectrum = family.nonsymmetric(alpha).spectrum
-    family._nonsymmetric[alpha] = LabeledPolynomial(alpha, poly, spectrum)
+    """Make poly the chain state of alpha, the row basis_check ranks."""
+    family._raw[alpha] = poly
 
 
 def test_basis_check_takes_the_certificate(fam2, rank_calls):
@@ -120,11 +120,14 @@ def test_basis_check_takes_the_certificate(fam2, rank_calls):
     assert rank_calls == []
 
 
-def test_basis_check_falls_back_on_another_diagonal(specialized, rank_calls):
+def test_basis_check_takes_the_certificate_on_a_non_unit_diagonal(
+        specialized, rank_calls):
+    # a nonzero diagonal entry other than one still makes the triangular
+    # matrix invertible
     family = KoornwinderFamily(1, specialized)
     _replace_entry(family, (1,), family.nonsymmetric((1,)).poly.scale(2))
     report = family.basis_check(1)
-    assert rank_calls == [3]
+    assert rank_calls == []
     assert report["rank"] == 3 and report["invertible"]
 
 
@@ -280,15 +283,26 @@ def test_raw_chain_prefix_reuse(fam2):
 
 
 def test_symmetric_never_calls_the_reference_operator(monkeypatch, symbolic):
-    def refuse(f):
-        raise RuntimeError("koornwinder_d called")
+    def refuse(*args):
+        raise RuntimeError("the reference operator was called")
     cases = [(KoornwinderFamily(n, SpecializedDomain()),
               [(2,) + (0,) * (n - 1), (1,) * n]) for n in (1, 2, 3, 4)]
     cases.append((KoornwinderFamily(2, symbolic), [(1, 0)]))
     for family, labels in cases:
         monkeypatch.setattr(family.rep, "koornwinder_d", refuse)
+        monkeypatch.setattr(family.rep, "_d_table", refuse)
         for lam in labels:
             assert family.symmetric(lam).poly.coefficient(lam) == 1
+
+
+def test_symmetric_rejects_an_image_that_is_not_invariant(monkeypatch,
+                                                         specialized):
+    family = KoornwinderFamily(2, specialized)
+    x1 = family.ring.gen(1)
+    monkeypatch.setattr(family.rep, "_symmetrizer_sum",
+                        lambda f: (x1 + x1 * x1, specialized.one))
+    with pytest.raises(ValueError, match="not W0-invariant"):
+        family.symmetric((1, 0))
 
 
 @pytest.mark.parametrize("q_sqrt", [Fraction(1, 2), 3])
