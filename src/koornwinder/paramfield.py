@@ -14,6 +14,14 @@ monomial factor of num and den removed, and the lexicographically leading
 denominator coefficient positive.  A full multivariate gcd is attempted
 only past a size threshold; equality is decided by cross multiplication
 and never depends on gcd reduction.
+
+sympy is imported on first use, by _load(): when the first FieldElement
+is built, or when one of the constants ZERO, ONE, SQRT_Q .. SQRT_UN is
+first read through the module __getattr__.  Specialized mode computes
+in Fractions and never builds an element, so it never pays for that
+import.  The module itself is still imported by the package: it defines
+the public constants and exception, and tracing tools find FieldElement
+and _full_reduce in it through sys.modules.
 """
 
 from __future__ import annotations
@@ -21,11 +29,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import sub
-
-from sympy import ZZ
-from sympy.polys.orderings import lex
-from sympy.polys.polyerrors import HeuristicGCDFailed
-from sympy.polys.rings import PolyElement, PolyRing
 
 PARAM_NAMES = ("q", "t", "t0", "tn", "u0", "un")
 
@@ -35,9 +38,9 @@ GCD_TERM_THRESHOLD = 64
 _N = 6
 _ZERO_EXP = (0,) * _N
 
-_RING = PolyRing("r0:6", ZZ, lex)
-# ring elements are shared between field elements and never mutated
-_ONE = _RING.one
+# Set by _load(), together with the public constants of _CONSTANTS; ring
+# elements are shared between field elements and never mutated.
+_RING = _ONE = PolyElement = HeuristicGCDFailed = None
 
 
 class UnluckySpecializationError(ArithmeticError):
@@ -173,6 +176,8 @@ class FieldElement:
     def __init__(self, num, den=None):
         """num/den from exponent dictionaries or ring elements; exponents
         may be negative and coefficients zero."""
+        if _RING is None:
+            _load()
         if den is None:
             den = {_ZERO_EXP: 1}
         self.num, self.den = _normalize({e: c for e, c in num.items() if c},
@@ -412,11 +417,33 @@ def _sqrt_exp(index):
     return tuple(e)
 
 
-ZERO = FieldElement.from_int(0)
-ONE = FieldElement.from_int(1)
-SQRT_Q = FieldElement.monomial(_sqrt_exp(0))
-SQRT_T = FieldElement.monomial(_sqrt_exp(1))
-SQRT_T0 = FieldElement.monomial(_sqrt_exp(2))
-SQRT_TN = FieldElement.monomial(_sqrt_exp(3))
-SQRT_U0 = FieldElement.monomial(_sqrt_exp(4))
-SQRT_UN = FieldElement.monomial(_sqrt_exp(5))
+_CONSTANTS = ("ZERO", "ONE") + tuple("SQRT_" + name.upper()
+                                     for name in PARAM_NAMES)
+
+
+def _load():
+    """Import sympy, then build the ring and the constants of _CONSTANTS.
+
+    Runs once: FieldElement.__init__ calls it before the first element
+    and module __getattr__ before the first constant is read.  Everything
+    else that touches the ring starts from an existing element.
+    """
+    global _RING, _ONE, PolyElement, HeuristicGCDFailed
+    from sympy import ZZ
+    from sympy.polys.orderings import lex
+    from sympy.polys.polyerrors import HeuristicGCDFailed
+    from sympy.polys.rings import PolyElement, PolyRing
+    ring = PolyRing("r0:6", ZZ, lex)
+    _ONE = ring.one
+    _RING = ring  # set last: __init__ tests it, and the constants need _ONE
+    globals().update(zip(_CONSTANTS, [
+        FieldElement.from_int(0), FieldElement.from_int(1),
+        *(FieldElement.monomial(_sqrt_exp(i)) for i in range(_N))]))
+
+
+def __getattr__(name):
+    """ZERO, ONE and SQRT_Q .. SQRT_UN, built on first access (PEP 562)."""
+    if name in _CONSTANTS:
+        _load()
+        return globals()[name]
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

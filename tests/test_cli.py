@@ -287,6 +287,28 @@ def test_basis_check_ignores_a_poisoned_cache_entry(capsys, tmp_path):
     assert _only_cache_file(cache).read_bytes() == poisoned
 
 
+def test_check_duality_ignores_a_poisoned_cache_entry(capsys, tmp_path):
+    # a hand-edited E_(1,0) entry would fail the E pairings that read it;
+    # check-duality builds every polynomial it checks, so it neither reads
+    # the entry nor writes entries of its own
+    cache = tmp_path / "cache"
+    code, _, _ = run_cli(capsys, "compute-e", "--n", "2", "--alpha", "1,0",
+                         "--cache-dir", str(cache))
+    assert code == 0
+    path = _only_cache_file(cache)
+    entry = json.loads(path.read_text())
+    entry["terms"][0]["coeff"] = "12345/7"  # a non-leading coefficient
+    path.write_text(json.dumps(entry))
+    poisoned = path.read_bytes()
+    args = ("check-duality", "--n", "2", "--max-weight", "1")
+    code, clean, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *args, "--cache-dir", str(cache))
+    assert code == 0
+    assert out == clean
+    assert _only_cache_file(cache).read_bytes() == poisoned
+
+
 def test_failed_eigen_check_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(noumi.NoumiRepresentation, "d_eigen_holds",
                         lambda self, f, lam: False)
