@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .domains import Assignment, make_domain
@@ -21,8 +20,6 @@ from .noumi import check_daha_relations, monomial_exponents
 from .paramfield import FieldElement, UnluckySpecializationError
 from .polynomials import KoornwinderFamily, NonGenericParametersError
 from .weyl import is_partition, partitions_up_to
-
-CACHE_ENV_VAR = "KOORNWINDER_CACHE_DIR"
 
 
 def _parse_label(text):
@@ -44,18 +41,22 @@ def _parse_assignment(text):
             "invalid assignment %r: %s" % (text, exc)) from None
 
 
-def _add_common(sub, with_mode=True):
-    sub.add_argument("--n", type=int, required=True, help="number of variables")
-    if with_mode:
-        sub.add_argument("--mode", choices=("symbolic", "specialized"),
-                         default="specialized")
+def _add_shared(sub):
+    """Flags of every command: the assignment, its re-draw seed, the format."""
     sub.add_argument("--assignment", type=_parse_assignment, default=None,
                      help="six comma-separated rationals for the parameter "
                           "square roots (specialized mode)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", dest="as_json", action="store_true", default=True)
     sub.add_argument("--text", dest="as_json", action="store_false")
-    sub.add_argument("--cache-dir", type=str, default=None)
+
+
+def _add_common(sub):
+    """Flags of every command that builds polynomials."""
+    sub.add_argument("--n", type=int, required=True, help="number of variables")
+    sub.add_argument("--mode", choices=("symbolic", "specialized"),
+                     default="specialized")
+    _add_shared(sub)
 
 
 def build_parser():
@@ -68,37 +69,42 @@ def build_parser():
     sub.add_argument("--alpha", type=_parse_label, required=True,
                      help="comma-separated integer label")
     _add_common(sub)
+    sub.add_argument("--cache-dir", type=str, default=None)
+    sub.set_defaults(run=_cmd_compute)
 
     sub = commands.add_parser("compute-p", help="symmetric polynomial")
     sub.add_argument("--lambda", dest="lam", type=_parse_label, required=True,
                      help="comma-separated partition")
     _add_common(sub)
+    sub.set_defaults(run=_cmd_compute)
 
     sub = commands.add_parser("basis-check",
                               help="rank of the change of basis to monomials")
     sub.add_argument("--degree", type=int, required=True)
     _add_common(sub)
+    sub.set_defaults(run=_cmd_basis_check)
 
     sub = commands.add_parser("check-relations",
                               help="verify the defining operator relations")
     sub.add_argument("--degree", type=int, required=True)
     _add_common(sub)
+    sub.set_defaults(run=_cmd_check_relations)
 
     sub = commands.add_parser("check-duality",
                               help="verify the duality identities")
     sub.add_argument("--max-weight", type=int, required=True)
-    sub.add_argument("--symbolic", action="store_true")
-    _add_common(sub, with_mode=False)
+    _add_common(sub)
+    sub.add_argument("--symbolic", dest="mode", action="store_const",
+                     const="symbolic", help="same as --mode symbolic")
+    sub.set_defaults(run=_cmd_check_duality)
 
     sub = commands.add_parser("specialize",
                               help="evaluate a field element JSON at an "
                                    "assignment")
     sub.add_argument("--input", type=str, default=None,
                      help="path to a field element JSON (default: stdin)")
-    sub.add_argument("--assignment", type=_parse_assignment, default=None)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--json", dest="as_json", action="store_true", default=True)
-    sub.add_argument("--text", dest="as_json", action="store_false")
+    _add_shared(sub)
+    sub.set_defaults(run=_cmd_specialize)
     return parser
 
 
@@ -108,10 +114,6 @@ def _assignment_from(args, seed_override=None):
     if seed_override is not None:
         return Assignment.from_seed(seed_override)
     return Assignment.default()
-
-
-def _cache_dir(args):
-    return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
 
 
 def _emit(report, as_json, render_text):
@@ -134,14 +136,15 @@ def _with_redraw(args, run):
         return run(_assignment_from(args, seed_override=retry_seed))
 
 
-def _cmd_compute(args, symmetric):
+def _cmd_compute(args):
     def run(assignment):
         domain = make_domain(args.mode, assignment)
-        family = KoornwinderFamily(args.n, domain, cache_dir=_cache_dir(args))
-        if symmetric:
-            labeled = family.symmetric(args.lam)
+        if args.command == "compute-p":
+            labeled = KoornwinderFamily(args.n, domain).symmetric(args.lam)
             verified = True  # construction is self-verifying
         else:
+            family = KoornwinderFamily(args.n, domain,
+                                       cache_dir=args.cache_dir)
             labeled = family.nonsymmetric(args.alpha)
             verified = family.verify_spectrum(labeled)
         report = labeled.to_json()
@@ -158,7 +161,7 @@ def _cmd_compute(args, symmetric):
     report = _with_redraw(args, run)
     text = report.pop("_text")
     _emit(report, args.as_json, lambda r: text)
-    return 0 if report.get("verified", True) else 1
+    return 0 if report["verified"] else 1
 
 
 def _cmd_basis_check(args):
@@ -196,12 +199,8 @@ def _cmd_check_relations(args):
 
 def _cmd_check_duality(args):
     def run(assignment):
-        mode = "symbolic" if args.symbolic else "specialized"
-        domain = make_domain(mode, assignment if mode == "specialized" else None)
-        # the checks read E and P only through the family: a disk cache
-        # would hand them unverified entries
-        family = KoornwinderFamily(args.n, domain)
-        checker = DualityChecker(family)
+        domain = make_domain(args.mode, assignment)
+        checker = DualityChecker(KoornwinderFamily(args.n, domain))
         checks = []
         labels = monomial_exponents(args.n, args.max_weight)
         partitions = partitions_up_to(args.n, args.max_weight)
@@ -221,7 +220,7 @@ def _cmd_check_duality(args):
                 checks.append({"kind": "ratio", "left": list(lam),
                                "right": list(mu),
                                "status": "pass" if ok else "fail"})
-        return {"n": args.n, "max_weight": args.max_weight, "mode": mode,
+        return {"n": args.n, "max_weight": args.max_weight, "mode": args.mode,
                 "checks": checks,
                 "all_pass": all(c["status"] == "pass" for c in checks)}
 
@@ -274,26 +273,12 @@ def main(argv=None):
     if args.command == "compute-p" and not is_partition(args.lam):
         parser.error("--lambda must be weakly decreasing and nonnegative")
     try:
-        if args.command == "compute-e":
-            return _cmd_compute(args, symmetric=False)
-        if args.command == "compute-p":
-            return _cmd_compute(args, symmetric=True)
-        if args.command == "basis-check":
-            return _cmd_basis_check(args)
-        if args.command == "check-relations":
-            return _cmd_check_relations(args)
-        if args.command == "check-duality":
-            return _cmd_check_duality(args)
-        if args.command == "specialize":
-            return _cmd_specialize(args)
-    except (UnluckySpecializationError, NonGenericParametersError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
-    except (ValueError, OSError, AssertionError) as exc:
+        return args.run(args)
+    except (UnluckySpecializationError, NonGenericParametersError,
+            ValueError, OSError, AssertionError) as exc:
         # AssertionError: a constructed object failed its own check
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    raise AssertionError("unhandled command")
 
 
 if __name__ == "__main__":

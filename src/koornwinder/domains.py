@@ -71,14 +71,6 @@ class Assignment:
         v = self.values()
         return Assignment.make((v[0], v[1], v[5], v[3], v[4], v[2]))
 
-    def epsilon(self):
-        v = self.values()
-        return Assignment.make((1 / v[0], 1 / v[1], 1 / v[5],
-                                1 / v[3], 1 / v[4], 1 / v[2]))
-
-    def dagger(self):
-        return Assignment.make(tuple(1 / x for x in self.values()))
-
     def as_strings(self):
         return [str(v) for v in self.values()]
 

@@ -381,6 +381,9 @@ class NoumiRepresentation:
 
 def monomial_exponents(n, radius):
     """All integer vectors with |e_1| + ... + |e_n| <= radius, sorted."""
+    if radius < 0:
+        # an empty ball would let every check over it pass vacuously
+        raise ValueError("radius must be nonnegative, got %d" % radius)
     out = [()]
     for _ in range(n):
         out = [e + (k,) for e in out

@@ -259,6 +259,9 @@ def is_partition(lam):
 
 def partitions_up_to(n, weight):
     """All partitions with n parts (zeros allowed) of weight <= weight, sorted."""
+    if weight < 0:
+        # an empty list would let every check over it pass vacuously
+        raise ValueError("weight must be nonnegative, got %d" % weight)
     out = [()]
     for _ in range(n):
         out = [lam + (k,) for lam in out

@@ -1,10 +1,9 @@
 import json
-from fractions import Fraction
 
 import pytest
 
 from koornwinder import noumi
-from koornwinder.cli import main, CACHE_ENV_VAR
+from koornwinder.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -55,6 +54,13 @@ def test_check_duality_symbolic(capsys):
     assert report["all_pass"] is True
     kinds = {c["kind"] for c in report["checks"]}
     assert kinds == {"E", "P", "ratio"}
+
+
+def test_check_duality_symbolic_flag_is_mode_symbolic(capsys):
+    args = ("check-duality", "--n", "1", "--max-weight", "1")
+    _, flag, _ = run_cli(capsys, *args, "--symbolic")
+    _, mode, _ = run_cli(capsys, *args, "--mode", "symbolic")
+    assert flag == mode
 
 
 def test_basis_check(capsys):
@@ -143,10 +149,11 @@ def test_cache_dir_and_env(capsys, tmp_path, monkeypatch):
     assert list(cache.glob("*.json"))
     _, second, _ = run_cli(capsys, *args)  # warm start
     assert first == second
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "envcache"))
+    # --cache-dir is the only way to name a cache
+    monkeypatch.setenv("KOORNWINDER_CACHE_DIR", str(tmp_path / "envcache"))
     _, third, _ = run_cli(capsys, "compute-e", "--n", "2", "--alpha", "2,0")
     assert first == third
-    assert list((tmp_path / "envcache").glob("*.json"))
+    assert not (tmp_path / "envcache").exists()
 
 
 def test_usage_error_exit_code():
@@ -176,6 +183,11 @@ def test_usage_error_exit_code():
     ["compute-e", "--n", "2", "--alpha", "1"],
     ["compute-p", "--n", "2", "--lambda", "1"],
     ["compute-p", "--n", "2", "--lambda", "0,1"],
+    # only compute-e takes a cache directory
+    ["compute-p", "--n", "2", "--lambda", "1,0", "--cache-dir", "cache"],
+    ["basis-check", "--n", "1", "--degree", "1", "--cache-dir", "cache"],
+    ["check-relations", "--n", "1", "--degree", "1", "--cache-dir", "cache"],
+    ["check-duality", "--n", "1", "--max-weight", "1", "--cache-dir", "cache"],
 ])
 def test_malformed_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:
@@ -236,77 +248,6 @@ def test_cache_entry_with_a_short_exponent_is_recomputed(capsys, tmp_path):
     assert code == 0
     assert again == cold
     assert path.read_bytes() == full  # rewritten
-
-
-def test_compute_p_ignores_a_poisoned_cache_entry(capsys, tmp_path):
-    # compute-p builds from the raw chain state, so a hand-edited E_(1,0)
-    # entry is neither read nor rewritten
-    cache = tmp_path / "cache"
-    code, _, _ = run_cli(capsys, "compute-e", "--n", "2", "--alpha", "1,0",
-                         "--cache-dir", str(cache))
-    assert code == 0
-    path = _only_cache_file(cache)
-    entry = json.loads(path.read_text())
-    entry["terms"][0]["coeff"] = "12345/7"  # a non-leading coefficient
-    path.write_text(json.dumps(entry))
-    poisoned = path.read_bytes()
-    args = ("compute-p", "--n", "2", "--lambda", "1,0")
-    code, clean, _ = run_cli(capsys, *args)
-    assert code == 0
-    code, out, _ = run_cli(capsys, *args, "--cache-dir", str(cache))
-    assert code == 0
-    assert out == clean
-    assert _only_cache_file(cache).read_bytes() == poisoned
-
-
-def test_basis_check_ignores_a_poisoned_cache_entry(capsys, tmp_path):
-    # the E_(-1) entry replaced by the multiple of E_(1) that is one at
-    # x^-1 would make two rows proportional; basis-check ranks the chain
-    # states it builds, so it neither reads nor rewrites the entry
-    cache = tmp_path / "cache"
-    code, _, _ = run_cli(capsys, "compute-e", "--n", "1", "--alpha", "-1",
-                         "--cache-dir", str(cache))
-    assert code == 0
-    path = _only_cache_file(cache)
-    code, out, _ = run_cli(capsys, "compute-e", "--n", "1", "--alpha", "1")
-    assert code == 0
-    terms = json.loads(out)["terms"]
-    lead = next(Fraction(t["coeff"]) for t in terms if t["exp"] == [-1])
-    entry = json.loads(path.read_text())
-    entry["terms"] = [{"exp": t["exp"],
-                       "coeff": str(Fraction(t["coeff"]) / lead)}
-                      for t in terms]
-    path.write_text(json.dumps(entry))
-    poisoned = path.read_bytes()
-    args = ("basis-check", "--n", "1", "--degree", "1")
-    code, clean, _ = run_cli(capsys, *args)
-    assert code == 0
-    code, out, _ = run_cli(capsys, *args, "--cache-dir", str(cache))
-    assert code == 0
-    assert out == clean
-    assert _only_cache_file(cache).read_bytes() == poisoned
-
-
-def test_check_duality_ignores_a_poisoned_cache_entry(capsys, tmp_path):
-    # a hand-edited E_(1,0) entry would fail the E pairings that read it;
-    # check-duality builds every polynomial it checks, so it neither reads
-    # the entry nor writes entries of its own
-    cache = tmp_path / "cache"
-    code, _, _ = run_cli(capsys, "compute-e", "--n", "2", "--alpha", "1,0",
-                         "--cache-dir", str(cache))
-    assert code == 0
-    path = _only_cache_file(cache)
-    entry = json.loads(path.read_text())
-    entry["terms"][0]["coeff"] = "12345/7"  # a non-leading coefficient
-    path.write_text(json.dumps(entry))
-    poisoned = path.read_bytes()
-    args = ("check-duality", "--n", "2", "--max-weight", "1")
-    code, clean, _ = run_cli(capsys, *args)
-    assert code == 0
-    code, out, _ = run_cli(capsys, *args, "--cache-dir", str(cache))
-    assert code == 0
-    assert out == clean
-    assert _only_cache_file(cache).read_bytes() == poisoned
 
 
 def test_failed_eigen_check_exits_one(capsys, monkeypatch):

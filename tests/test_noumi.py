@@ -346,6 +346,12 @@ def test_relation_suite_symbolic_rank_two(symbolic):
     assert "cross relation T1 X1" in names
 
 
+def test_relation_suite_refuses_a_negative_degree(specialized):
+    # over an empty set of test polynomials every relation would pass
+    with pytest.raises(ValueError):
+        check_daha_relations(2, -1, specialized)
+
+
 def test_relation_v_on_constant(rep2):
     d = rep2.domain
     one = rep2.ring.one()

@@ -96,6 +96,12 @@ def test_joint_eigenvector_dimension_one(specialized):
         oracle.joint_eigenvector((3, 0))
 
 
+def test_oracle_refuses_a_negative_degree(specialized):
+    rep = NoumiRepresentation(LaurentRing(2, specialized))
+    with pytest.raises(ValueError):
+        EigenOracle(rep, -1)
+
+
 def test_oracle_rejects_label_outside_piece(specialized):
     rep = NoumiRepresentation(LaurentRing(1, specialized))
     oracle = EigenOracle(rep, 1)

@@ -227,16 +227,30 @@ def test_disk_cache_entry_for_another_label_is_a_miss(tmp_path, specialized):
     assert again._disk_read((1, 0)).poly == expected.poly
 
 
-def test_verify_spectrum_rejects_wrong_data(fam2):
+@pytest.mark.parametrize("name, alpha", [("fam1", (2,)), ("fam2", (1, 0))],
+                         ids=["symbolic", "specialized"])
+def test_verify_spectrum_rejects_wrong_data(request, name, alpha):
     from koornwinder.polynomials import LabeledPolynomial
-    good = fam2.nonsymmetric((1, 0))
-    tampered = LabeledPolynomial(label=(1, 0),
-                                 poly=good.poly + fam2.ring.gen(1, -1),
+    fam = request.getfixturevalue(name)
+    good = fam.nonsymmetric(alpha)
+    assert fam.verify_spectrum(good)
+    # double one existing coefficient below the leading one
+    e = min(e for e in good.poly.terms if e != alpha)
+    poly = good.poly + fam.ring.monomial(e, good.poly.coefficient(e))
+    assert poly.terms.keys() == good.poly.terms.keys()
+    tampered = LabeledPolynomial(label=alpha, poly=poly,
                                  spectrum=good.spectrum)
-    assert not fam2.verify_spectrum(tampered)
-    wrong_spec = LabeledPolynomial(label=(1, 0), poly=good.poly,
-                                   spectrum=good.spectrum[::-1])
-    assert not fam2.verify_spectrum(wrong_spec)
+    assert not fam.verify_spectrum(tampered)
+    spectrum = (good.spectrum[0] * fam.domain.q,) + tuple(good.spectrum[1:])
+    wrong_spec = LabeledPolynomial(label=alpha, poly=good.poly,
+                                   spectrum=spectrum)
+    assert not fam.verify_spectrum(wrong_spec)
+
+
+def test_basis_check_refuses_a_negative_degree(fam2):
+    # an empty basis would report itself invertible
+    with pytest.raises(ValueError):
+        fam2.basis_check(-1)
 
 
 def test_label_length_validation(fam2):

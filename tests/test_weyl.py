@@ -9,6 +9,14 @@ from koornwinder.weyl import (SignedPermutation, affine_action, braid_order,
                               reflect_spectral, w_alpha)
 
 
+def test_partitions_up_to():
+    assert weyl.partitions_up_to(2, 0) == [(0, 0)]
+    assert weyl.partitions_up_to(2, 2) == [(0, 0), (1, 0), (1, 1), (2, 0)]
+    # an empty list would let every check over it pass vacuously
+    with pytest.raises(ValueError):
+        weyl.partitions_up_to(2, -1)
+
+
 def test_affine_action_examples():
     assert affine_action(0, (0, 0)) == (-1, 0)
     assert affine_action(2, (3, 5)) == (3, -5)
