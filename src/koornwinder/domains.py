@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem
+from operator import getitem, index
 
 from . import paramfield
 from .paramfield import FieldElement
@@ -101,7 +101,7 @@ class _BaseDomain:
         self.s_dual = uns * tns     # the t0 <-> un swap of s
 
     def q_pow(self, k):
-        return self.q_sqrt ** (2 * int(k))
+        return self.q_sqrt ** (2 * index(k))
 
     def t_half(self, i, n):
         """Square root of the Hecke parameter attached to generator i."""
@@ -149,7 +149,7 @@ class SymbolicDomain(_BaseDomain):
         self._derive()
 
     def q_pow(self, k):
-        return FieldElement.monomial((2 * int(k), 0, 0, 0, 0, 0))
+        return FieldElement.monomial((2 * index(k), 0, 0, 0, 0, 0))
 
     def from_int(self, k):
         return FieldElement.from_int(k)

@@ -18,7 +18,7 @@ down.  A nonzero remainder raises ExactDivisionError.
 
 from __future__ import annotations
 
-from operator import add, sub
+from operator import add, index, sub
 
 
 class ExactDivisionError(ArithmeticError):
@@ -50,7 +50,7 @@ class LaurentRing:
         return LaurentPolynomial(self, {(0,) * self.n: c} if c else {})
 
     def monomial(self, exponents, coeff=None):
-        e = tuple(int(x) for x in exponents)
+        e = tuple(map(index, exponents))
         if len(e) != self.n:
             raise ValueError("exponent vector has wrong length")
         c = self.domain.one if coeff is None else coeff
@@ -61,13 +61,13 @@ class LaurentRing:
         if not 1 <= i <= self.n:
             raise ValueError("variable index out of range")
         e = [0] * self.n
-        e[i - 1] = int(power)
+        e[i - 1] = index(power)
         return self.monomial(e)
 
     def from_terms(self, mapping):
         terms = {}
         for e, c in mapping.items():
-            e = tuple(int(x) for x in e)
+            e = tuple(map(index, e))
             if len(e) != self.n:
                 raise ValueError("exponent vector has wrong length")
             if c:
@@ -166,7 +166,7 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.ring, {e: v * c for e, v in self.terms.items()})
 
     def __pow__(self, k):
-        k = int(k)
+        k = index(k)
         if k < 0:
             raise ValueError("negative polynomial power")
         out = self.ring.one()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import sub
+from operator import index, sub
 
 PARAM_NAMES = ("q", "t", "t0", "tn", "u0", "un")
 
@@ -187,7 +187,7 @@ class FieldElement:
 
     @classmethod
     def from_int(cls, k):
-        return cls({_ZERO_EXP: int(k)})
+        return cls({_ZERO_EXP: index(k)})
 
     @classmethod
     def from_fraction(cls, f):
@@ -197,10 +197,10 @@ class FieldElement:
     @classmethod
     def monomial(cls, exponents, coeff=1):
         """Monomial with the given doubled exponents of (q, t, t0, tn, u0, un)."""
-        e = tuple(int(x) for x in exponents)
+        e = tuple(map(index, exponents))
         if len(e) != _N:
             raise ValueError("expected 6 doubled exponents")
-        return cls({e: int(coeff)})
+        return cls({e: index(coeff)})
 
     # -- arithmetic ---------------------------------------------------
 
@@ -274,7 +274,7 @@ class FieldElement:
         return other * self.inverse()
 
     def __pow__(self, k):
-        k = int(k)
+        k = index(k)
         if k < 0:
             return self.inverse() ** (-k)
         out = ONE

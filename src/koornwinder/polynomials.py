@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import tempfile
 from dataclasses import dataclass
@@ -67,7 +68,7 @@ class KoornwinderFamily:
 
     def _label(self, alpha):
         """alpha as a tuple of ints, one per variable."""
-        alpha = tuple(int(x) for x in alpha)
+        alpha = tuple(map(operator.index, alpha))
         if len(alpha) != self.n:
             raise ValueError("label has wrong length")
         return alpha
@@ -103,27 +104,20 @@ class KoornwinderFamily:
         return raw, lead
 
     def _chain_state(self, alpha):
-        if not any(alpha):
-            return self.ring.one()
-        cached = self._raw.get(alpha)
-        if cached is not None:
-            return cached
-        word = weyl.chain_to(alpha)
-        points = [(0,) * self.n]     # points[k] is reached after k letters
-        for i in word:
-            points.append(weyl.affine_action(i, points[-1]))
-        start, f = 0, self.ring.one()
-        for k in range(len(word), 0, -1):
-            hit = self._raw.get(points[k])
-            if hit is not None:
-                start, f = k, hit
-                break
-        # each state is a joint Y-eigenvector for the point it reached,
-        # so a step costs one T (spectral_intertwiner)
-        for k in range(start, len(word)):
-            spec = weyl.spectral_vector(points[k], self.domain)
-            f = spectral_intertwiner(self.rep, word[k], spec, f)
-            self._raw[points[k + 1]] = f
+        # chain_to(s_i alpha) is chain_to(alpha) minus its last letter
+        # i = chain_step(alpha): walk back to the origin or a cached point
+        path = []
+        while any(alpha) and alpha not in self._raw:
+            i = weyl.chain_step(alpha)
+            path.append((i, alpha))
+            alpha = weyl.affine_action(i, alpha)
+        f = self._raw[alpha] if any(alpha) else self.ring.one()
+        # each state is a joint Y-eigenvector for its point, so the step
+        # from the predecessor alpha costs one T (spectral_intertwiner)
+        for i, point in reversed(path):
+            spec = weyl.spectral_vector(alpha, self.domain)
+            f = self._raw[point] = spectral_intertwiner(self.rep, i, spec, f)
+            alpha = point
         return f
 
     def raw_eigenvector(self, alpha):

@@ -76,10 +76,6 @@ class SignedPermutation:
         signs = tuple(self.signs[self.perm[k]] for k in range(n))
         return SignedPermutation(signs=signs, perm=tuple(perm))
 
-    def one_line(self):
-        """1-indexed image sequence (for display and cross-checks)."""
-        return tuple(p + 1 for p in self.perm)
-
 
 # ---------------------------------------------------------------------------
 # the affine action on Z^n and on affine exponents
@@ -150,13 +146,6 @@ def apply_word_affine(word, v):
     return v
 
 
-def replay_chain(word, v):
-    """Apply a chain word: the first letter acts first."""
-    for i in word:
-        v = affine_action(i, v)
-    return v
-
-
 def translation_word(i, n):
     """Product-order word realizing the translation by e_i on Z^n."""
     if not 1 <= i <= n:
@@ -220,35 +209,33 @@ def reflect_spectral(i, spec, domain):
     raise ValueError("reflection index out of range: %r" % (i,))
 
 
+def chain_step(alpha):
+    """The last letter of chain_to(alpha), for alpha nonzero.
+
+    It walks the leftmost negative entry one slot left (s_0 cancels it
+    at slot one); with no negative entry, it walks the rightmost
+    positive entry one slot right (s_n flips it at slot n).  It depends
+    on alpha alone, so chain_to(s_i alpha) is chain_to(alpha) without
+    its last letter i.
+    """
+    for j, x in enumerate(alpha):
+        if x < 0:
+            return j
+    return 1 + max(j for j, x in enumerate(alpha) if x > 0)
+
+
 def chain_to(alpha):
     """A generator word carrying the origin to alpha.
 
     The word is in application order (first letter acts first), every
     step moves the vector, and s_0 occurs exactly |alpha_1| + ... +
-    |alpha_n| times.  Built by reducing alpha to zero and reversing:
-    a leftmost negative entry is walked to slot one and cancelled by
-    s_0; otherwise the rightmost positive entry is walked to slot n and
-    flipped by s_n.
+    |alpha_n| times.  Built by reducing alpha to zero by chain_step and
+    reversing.
     """
-    v = list(alpha)
-    n = len(v)
     word = []
-    while any(v):
-        neg = [j for j, x in enumerate(v) if x < 0]
-        if neg:
-            j = neg[0]
-            for m in range(j, 0, -1):
-                v[m - 1], v[m] = v[m], v[m - 1]
-                word.append(m)
-            v[0] = -v[0] - 1
-            word.append(0)
-        else:
-            j = max(j for j, x in enumerate(v) if x > 0)
-            for m in range(j + 1, n):
-                v[m - 1], v[m] = v[m], v[m - 1]
-                word.append(m)
-            v[-1] = -v[-1]
-            word.append(n)
+    while any(alpha):
+        word.append(chain_step(alpha))
+        alpha = affine_action(word[-1], alpha)
     return tuple(reversed(word))
 
 

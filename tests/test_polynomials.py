@@ -296,6 +296,29 @@ def test_raw_chain_prefix_reuse(fam2):
     assert fam2.verify_spectrum(lab)
 
 
+def test_each_chain_point_is_built_once(monkeypatch, specialized):
+    # every chain walks back to the nearest cached point, so one spectral
+    # step builds each point, whatever order the labels are asked in
+    calls = []
+    step = polynomials.spectral_intertwiner
+
+    def counting_step(*args):
+        calls.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(polynomials, "spectral_intertwiner", counting_step)
+    labels = sorted(monomial_exponents(3, 3))
+    families = []
+    for order in (labels, labels[::-1]):
+        calls.clear()
+        family = KoornwinderFamily(3, specialized)
+        for alpha in order:
+            family.raw_eigenvector(alpha)
+        assert len(calls) == len(family._raw) == len(labels) - 1
+        families.append(family)
+    assert families[0]._raw == families[1]._raw
+
+
 def test_symmetric_never_calls_the_reference_operator(monkeypatch, symbolic):
     def refuse(*args):
         raise RuntimeError("the reference operator was called")
