@@ -1,4 +1,4 @@
-"""Parameter assignments and the two coefficient domains.
+"""Parameter assignments and the coefficient domains.
 
 Everything downstream is generic over a *domain*: an object exposing the
 six square roots and a handful of derived combinations, either as exact
@@ -6,6 +6,12 @@ symbolic field elements ("symbolic" mode) or as exact rationals under a
 fixed assignment ("specialized" mode).  Both kinds of scalar support
 +, -, *, /, ** and exact equality, so the operator and polynomial code
 never needs to know which mode it runs in.
+
+Each domain also names its raw_domain, the one that chain states are
+built in, and from_raw, the conversion from it: a specialized domain is
+its own raw domain, and a symbolic one builds its chain states over
+LaurentScalarDomain, the Laurent polynomials in the six square roots,
+where / and negative powers take only units.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from fractions import Fraction
 from operator import getitem, index
 
 from . import paramfield
-from .paramfield import FieldElement
+from .paramfield import FieldElement, LaurentScalar
 
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -131,13 +137,38 @@ class _BaseDomain:
         return total
 
 
+class LaurentScalarDomain(_BaseDomain):
+    """Scalars are Laurent polynomials in the six square roots
+    (paramfield.LaurentScalar): the raw domain of SymbolicDomain.
+
+    Every coefficient of T_i in remainder form and every scalar of
+    spectral_intertwiner lies in this ring, and the only inverses the
+    chain takes are of monomials, so chain states and their Y images
+    never need a field.  Inverting a non-unit raises ArithmeticError.
+    """
+
+    def __init__(self):
+        self.zero = LaurentScalar.from_int(0)
+        self.one = LaurentScalar.from_int(1)
+        (self.q_sqrt, self.t_sqrt, self.t0_sqrt, self.tn_sqrt, self.u0_sqrt,
+         self.un_sqrt) = (LaurentScalar.monomial(tuple(int(j == i)
+                                                       for j in range(6)))
+                          for i in range(6))
+        self._derive()
+
+    def from_int(self, k):
+        return LaurentScalar.from_int(k)
+
+
 class SymbolicDomain(_BaseDomain):
-    """Scalars are exact symbolic field elements."""
+    """Scalars are exact symbolic field elements; chain states are built
+    over LaurentScalarDomain."""
 
     mode = "symbolic"
     assignment = None
 
     def __init__(self):
+        self.raw_domain = LaurentScalarDomain()
         self.zero = paramfield.ZERO
         self.one = paramfield.ONE
         self.q_sqrt = paramfield.SQRT_Q
@@ -153,6 +184,17 @@ class SymbolicDomain(_BaseDomain):
 
     def from_int(self, k):
         return FieldElement.from_int(k)
+
+    def from_raw(self, v):
+        return v.to_field()
+
+    def product_equals(self, a, b, c):
+        """Whether a * b == c, by one cross multiplication of ring
+        elements; a product of field elements would run the gcd of
+        paramfield._normalize instead.  verify_spectrum passes converted
+        Laurent scalars as b and c, whose denominators are monomials, so
+        those are multiplied in before the large products."""
+        return a.num * (b.num * c.den) == c.num * (a.den * b.den)
 
     def complexity(self, v):
         return len(v.num) + len(v.den)
@@ -184,9 +226,17 @@ class SpecializedDomain(_BaseDomain):
         self.zero = Fraction(0)
         self.one = Fraction(1)
         self._derive()
+        self.raw_domain = self
 
     def from_int(self, k):
-        return Fraction(k)
+        return Fraction(index(k))
+
+    def from_raw(self, v):
+        return v
+
+    def product_equals(self, a, b, c):
+        """Whether a * b == c."""
+        return a * b == c
 
     def complexity(self, v):
         return v.numerator.bit_length() + v.denominator.bit_length()

@@ -22,6 +22,10 @@ in Fractions and never builds an element, so it never pays for that
 import.  The module itself is still imported by the package: it defines
 the public constants and exception, and tracing tools find FieldElement
 and _full_reduce in it through sys.modules.
+
+LaurentScalar is the subring Z[r^+-1] of Laurent polynomials in the
+square roots, with its own dict arithmetic and no sympy: symbolic chain
+states are built over it, and only normalization needs the field.
 """
 
 from __future__ import annotations
@@ -369,6 +373,154 @@ class FieldElement:
         if self.den == 1:
             return _poly_str(self.num)
         return "(%s)/(%s)" % (_poly_str(self.num), _poly_str(self.den))
+
+
+class LaurentScalar:
+    """Immutable Laurent polynomial in the six square roots: an element of
+    Z[r^+-1], the ring that symbolic chain states are built in.
+
+    terms maps doubled exponent tuples (negative entries allowed) to
+    nonzero ints.  A Laurent polynomial has one representation, so
+    equality is dict equality and no canonical form is ever computed.
+    The units of the ring are the monomials with coefficient +-1; they
+    are the only elements with an inverse, and inverting anything else
+    raises ArithmeticError rather than leave the ring.  to_field is the
+    one way into FieldElement.  No sympy: plain dict arithmetic.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        """terms without zero coefficients; taken over, not copied."""
+        self.terms = terms
+
+    @classmethod
+    def from_int(cls, k):
+        k = index(k)
+        return cls({_ZERO_EXP: k} if k else {})
+
+    @classmethod
+    def monomial(cls, exponents, coeff=1):
+        """Monomial with the given doubled exponents of (q, t, t0, tn, u0, un)."""
+        e = tuple(map(index, exponents))
+        if len(e) != _N:
+            raise ValueError("expected 6 doubled exponents")
+        coeff = index(coeff)
+        return cls({e: coeff} if coeff else {})
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, LaurentScalar):
+            return x
+        if isinstance(x, int):
+            return LaurentScalar.from_int(x)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) < len(b):
+            a, b = b, a
+        return _merged(dict(a), b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LaurentScalar({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.terms, {e: -c for e, c in other.terms.items()}
+        return _merged(b, a) if len(b) >= len(a) else _merged(dict(a), b)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            # a monomial: a shift plus a scale, and no two products meet
+            (e, c), = a.items()
+            if e == _ZERO_EXP:
+                return LaurentScalar({e2: c * c2 for e2, c2 in b.items()})
+            a0, a1, a2, a3, a4, a5 = e
+            return LaurentScalar({
+                (x0 + a0, x1 + a1, x2 + a2, x3 + a3, x4 + a4, x5 + a5): c * c2
+                for (x0, x1, x2, x3, x4, x5), c2 in b.items()})
+        out = {}
+        get = out.get
+        for (a0, a1, a2, a3, a4, a5), c1 in a.items():
+            for (x0, x1, x2, x3, x4, x5), c2 in b.items():
+                e = (x0 + a0, x1 + a1, x2 + a2, x3 + a3, x4 + a4, x5 + a5)
+                out[e] = get(e, 0) + c1 * c2
+        return LaurentScalar({e: c for e, c in out.items() if c})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        k = index(k)
+        terms = self.terms
+        if k < 0 and not (len(terms) == 1
+                          and next(iter(terms.values())) in (1, -1)):
+            raise ArithmeticError("%r is not a unit of the Laurent ring"
+                                  % (self,))
+        if len(terms) == 1:
+            (e, c), = terms.items()
+            return LaurentScalar({tuple(x * k for x in e): c ** abs(k)})
+        out = LaurentScalar.from_int(1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other ** (-1)
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def to_field(self):
+        """The same element as a FieldElement."""
+        return FieldElement(self.terms)
+
+    def __repr__(self):
+        return _poly_str(self.terms)
+
+
+def _merged(out, terms):
+    """out, a dictionary the caller owns, plus terms, as a LaurentScalar."""
+    get = out.get
+    for e, c in terms.items():
+        s = get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return LaurentScalar(out)
 
 
 def _eval_poly(p, vals):

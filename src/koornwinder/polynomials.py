@@ -10,7 +10,9 @@ commutator.  The symmetric one at a partition is the symmetrizer image
 of the raw chain state there, normalized the same way.
 Raw chain states are cached by the lattice point reached (they are well
 defined up to a scalar, which the final normalization removes), so
-chains to nearby points share work.
+chains to nearby points share work.  They are built over the domain's
+raw domain: in symbolic mode the Laurent polynomials in the six square
+roots, where no gcd ever runs; a field is needed only to normalize.
 """
 
 from __future__ import annotations
@@ -58,6 +60,10 @@ class KoornwinderFamily:
         self.domain = domain
         self.ring = LaurentRing(n, domain)
         self.rep = NoumiRepresentation(self.ring)
+        raw = domain.raw_domain
+        # the operators that build and check chain states
+        self.raw_rep = (self.rep if raw is domain
+                        else NoumiRepresentation(LaurentRing(n, raw)))
         self.cache_dir = cache_dir
         self._raw = {}            # lattice point -> unnormalized chain state
         self._nonsymmetric = {}
@@ -86,7 +92,7 @@ class KoornwinderFamily:
         raw, lead = self._generic_state(alpha)
         labeled = LabeledPolynomial(
             label=alpha,
-            poly=raw * lead ** (-1),
+            poly=self._to_field(raw) * self.domain.from_raw(lead) ** (-1),
             spectrum=weyl.spectral_vector(alpha, self.domain))
         self._nonsymmetric[alpha] = labeled
         self._disk_write(labeled)
@@ -111,21 +117,30 @@ class KoornwinderFamily:
             i = weyl.chain_step(alpha)
             path.append((i, alpha))
             alpha = weyl.affine_action(i, alpha)
-        f = self._raw[alpha] if any(alpha) else self.ring.one()
+        rep = self.raw_rep
+        f = self._raw[alpha] if any(alpha) else rep.ring.one()
         # each state is a joint Y-eigenvector for its point, so the step
         # from the predecessor alpha costs one T (spectral_intertwiner)
         for i, point in reversed(path):
-            spec = weyl.spectral_vector(alpha, self.domain)
-            f = self._raw[point] = spectral_intertwiner(self.rep, i, spec, f)
+            spec = weyl.spectral_vector(alpha, rep.domain)
+            f = self._raw[point] = spectral_intertwiner(rep, i, spec, f)
             alpha = point
         return f
+
+    def _to_field(self, raw):
+        """A polynomial over the raw domain, over self.ring."""
+        if raw.ring is self.ring:
+            return raw
+        convert = self.domain.from_raw
+        return LaurentPolynomial(
+            self.ring, {e: convert(c) for e, c in raw.terms.items()})
 
     def raw_eigenvector(self, alpha):
         """The unnormalized chain output: a nonzero scalar multiple of the
         nonsymmetric polynomial.  Its coefficients are much smaller than
         the normalized ones in symbolic mode, so eigenspace checks that
         are scalar-multiple invariant should prefer it."""
-        return self._chain_state(self._label(alpha))
+        return self._to_field(self._chain_state(self._label(alpha)))
 
     def nonsymmetric_via_chain(self, word, alpha):
         """Chain-independence hook: build the polynomial along an explicit
@@ -147,21 +162,29 @@ class KoornwinderFamily:
         it for the output.
 
         The eigen equations are invariant under scalar multiples, so they
-        are checked on the raw chain state (whose symbolic coefficients
-        are far smaller); the labeled polynomial is then confirmed to be
-        its monic multiple.
+        are checked on the raw chain state, over the raw domain; the
+        labeled polynomial is then confirmed to be its monic multiple:
+        c * lead == r at every exponent, with c, r the labeled and raw
+        coefficients and lead the raw one at x^alpha, and the same
+        support.  domain.product_equals decides each equation without
+        normalizing a product.
         """
         alpha = labeled.label
-        if tuple(labeled.spectrum) != weyl.spectral_vector(alpha, self.domain):
+        spec = weyl.spectral_vector(alpha, self.raw_rep.domain)
+        from_raw = self.domain.from_raw
+        if tuple(labeled.spectrum) != tuple(map(from_raw, spec)):
             return False
         raw = self._chain_state(alpha)
         for i in range(1, self.n + 1):
-            if self.rep.y(i, raw) != raw * labeled.spectrum[i - 1]:
+            if self.raw_rep.y(i, raw) != raw * spec[i - 1]:
                 return False
         lead = raw.coefficient(alpha)
-        if not lead:
+        if not lead or labeled.poly.terms.keys() != raw.terms.keys():
             return False
-        return labeled.poly == raw * lead ** (-1)
+        lead = from_raw(lead)
+        same = self.domain.product_equals
+        return all(same(c, lead, from_raw(raw.terms[e]))
+                   for e, c in labeled.poly.terms.items())
 
     # -- symmetric family ----------------------------------------------------
 
@@ -185,12 +208,12 @@ class KoornwinderFamily:
         raw, _ = self._generic_state(lam)
         # the symmetrizer's normalizer is a nonzero scalar, which the
         # monic normalization below removes anyway, so it is never applied
-        image, _ = self.rep._symmetrizer_sum(raw)
+        image, _ = self.raw_rep._symmetrizer_sum(raw)
         lead = image.coefficient(lam)
         if not lead:
             raise NonGenericParametersError(
                 "symmetrizer image has no x^%r term" % (lam,))
-        poly = image * lead ** (-1)
+        poly = self._to_field(image) * self.domain.from_raw(lead) ** (-1)
         if not self.rep.d_eigen_holds(poly, lam):
             raise AssertionError(
                 "symmetric polynomial fails its eigenvalue equation")
@@ -228,26 +251,27 @@ class KoornwinderFamily:
         """
         exponents = monomial_exponents(self.n, degree)
         index = {e: k for k, e in enumerate(exponents)}
-        zero = self.domain.zero
-        rows = []
+        states = []
         graph = TopologicalSorter()
         for alpha in exponents:
             raw, _ = self._generic_state(alpha)
-            row = [zero] * len(exponents)
-            for e, c in raw.terms.items():
-                k = index.get(e)
-                if k is None:
-                    return {"n": self.n, "degree": degree,
-                            "size": len(exponents), "rank": 0,
-                            "invertible": False,
-                            "error": "support escapes the filtration"}
-                row[k] = c
-            rows.append(row)
+            if not raw.terms.keys() <= index.keys():
+                return {"n": self.n, "degree": degree,
+                        "size": len(exponents), "rank": 0,
+                        "invertible": False,
+                        "error": "support escapes the filtration"}
+            states.append(raw)
             graph.add(alpha, *(e for e in raw.terms if e != alpha))
         try:
             graph.prepare()
             rank = len(exponents)
         except CycleError:
+            rows = []
+            for raw in states:
+                row = [self.domain.zero] * len(exponents)
+                for e, c in self._to_field(raw).terms.items():
+                    row[index[e]] = c
+                rows.append(row)
             rank = matrix_rank(rows, self.domain)
         return {"n": self.n, "degree": degree, "size": len(exponents),
                 "rank": rank, "invertible": rank == len(exponents)}

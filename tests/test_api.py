@@ -45,9 +45,11 @@ def test_quick_workflow():
     (lambda k: SpecializedDomain().q_pow(k),
      lambda: SpecializedDomain().q ** 2),
     (lambda k: SymbolicDomain().q_pow(k), lambda: SymbolicDomain().q ** 2),
+    (lambda k: SpecializedDomain().from_int(k), lambda: 2),
+    (lambda k: SymbolicDomain().raw_domain.from_int(k), lambda: 2),
 ], ids=["label", "monomial", "gen", "from_terms", "poly_pow", "from_int",
         "field_monomial", "field_coeff", "field_pow", "specialized_q_pow",
-        "symbolic_q_pow"])
+        "symbolic_q_pow", "specialized_from_int", "laurent_from_int"])
 def test_integer_arguments_are_never_truncated(build, at_two):
     # a fractional label, exponent or power is refused, not rounded to a
     # different integer

@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from koornwinder import noumi
+from koornwinder import noumi, paramfield
 from koornwinder.cli import main
 
 
@@ -462,3 +463,25 @@ def test_symbolic_stdout_is_pinned(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out == PINNED_STDOUT[argv]
+
+
+# sha256 of the stdout of two symbolic commands whose coefficients have
+# more than GCD_TERM_THRESHOLD terms, so that their canonical form went
+# through the full gcd reduction; recorded while chain states were still
+# built over the field.
+PINNED_DIGESTS = {
+    ("compute-e", "--n", "1", "--alpha", "3", "--mode", "symbolic"):
+        "cc0dff023e77d84f1856ff920b0728a2106a5224f6bab676061a3f7b09166f38",
+    ("compute-e", "--n", "2", "--alpha", "1,1", "--mode", "symbolic"):
+        "0f3b71b5e754a43343bff0ee1911ffa4d8cbfd5aeeb753807c9c012547c5d9c6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_DIGESTS), ids=" ".join)
+def test_gcd_reduced_stdout_is_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[argv]
+    sizes = [len(t["coeff"][side]) for t in json.loads(out)["terms"]
+             if isinstance(t["coeff"], dict) for side in ("num", "den")]
+    assert max(sizes) > paramfield.GCD_TERM_THRESHOLD

@@ -245,3 +245,24 @@ def test_inequality_follows_equality():
 def test_json_decoding_rejects_malformed_input(obj):
     with pytest.raises(ValueError):
         FieldElement.from_json_value(obj)
+
+
+def test_laurent_scalar_inverts_only_units():
+    r = pf.LaurentScalar.monomial((1, -2, 0, 0, 3, 0))
+    assert r ** (-1) * r == 1
+    assert (-r) ** (-2) == pf.LaurentScalar.monomial((-2, 4, 0, 0, -6, 0))
+    assert r / r == 1
+    for non_unit in (r + 1, r * 2, pf.LaurentScalar.from_int(0)):
+        with pytest.raises(ArithmeticError):
+            non_unit ** (-1)
+        with pytest.raises(ArithmeticError):
+            r / non_unit
+
+
+def test_laurent_scalar_is_not_a_fraction():
+    r = pf.LaurentScalar.monomial((1, 0, 0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        r + Fraction(1, 2)
+    with pytest.raises(TypeError):
+        r * 1.5
+    assert r != "x" and r != pf.SQRT_Q

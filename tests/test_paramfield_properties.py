@@ -1,13 +1,15 @@
 """Property tests for the coefficient field: ring axioms, the three
-involutions and specialization as ring homomorphisms, and the canonical
-form as a fixed point of the constructor."""
+involutions and specialization as ring homomorphisms, the canonical
+form as a fixed point of the constructor, and the Laurent scalars of the
+raw chain states against the field."""
 
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
 from koornwinder import paramfield as pf
-from koornwinder.paramfield import FieldElement, UnluckySpecializationError
+from koornwinder.paramfield import (FieldElement, LaurentScalar,
+                                    UnluckySpecializationError)
 
 # deterministic examples, so that the suite passes or fails the same way
 # on every run
@@ -83,3 +85,36 @@ def test_specialize_is_a_ring_homomorphism(vals, x, y):
 def test_constructor_reproduces_canonical_form(x):
     y = FieldElement(x.num, x.den)
     assert y.num == x.num and y.den == x.den
+
+
+@st.composite
+def laurent_scalars(draw):
+    """A Laurent scalar: a field element whose denominator is a monomial."""
+    terms = draw(st.dictionaries(exponents, coefficients, max_size=4))
+    return LaurentScalar({e: c for e, c in terms.items() if c})
+
+
+units = st.builds(LaurentScalar.monomial, exponents, st.sampled_from((1, -1)))
+
+
+@field_settings
+@given(laurent_scalars(), laurent_scalars(), st.integers(-3, 3),
+       st.integers(0, 3))
+def test_laurent_scalars_agree_with_the_field(x, y, k, power):
+    fx, fy = x.to_field(), y.to_field()
+    assert (x + y).to_field() == fx + fy
+    assert (x - y).to_field() == fx - fy
+    assert (x * y).to_field() == fx * fy
+    assert (-x).to_field() == -fx
+    assert (x + k).to_field() == fx + k and (k - x).to_field() == k - fx
+    assert (x * k).to_field() == fx * k
+    assert (x ** power).to_field() == fx ** power
+    assert (x == y) == (fx == fy)
+    assert bool(x) == bool(fx)
+
+
+@field_settings
+@given(units, laurent_scalars(), st.integers(-3, 3))
+def test_laurent_units_invert_as_in_the_field(u, x, k):
+    assert (u ** k).to_field() == u.to_field() ** k
+    assert (x / u).to_field() == x.to_field() / u.to_field()

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from koornwinder import polynomials, weyl
+from koornwinder import paramfield, polynomials, weyl
 from koornwinder.domains import Assignment, SpecializedDomain, SymbolicDomain
+from koornwinder.intertwine import spectral_intertwiner
 from koornwinder.noumi import monomial_exponents
 from koornwinder.oracle import matrix_rank
 from koornwinder.polynomials import (KoornwinderFamily,
@@ -234,17 +235,81 @@ def test_verify_spectrum_rejects_wrong_data(request, name, alpha):
     fam = request.getfixturevalue(name)
     good = fam.nonsymmetric(alpha)
     assert fam.verify_spectrum(good)
-    # double one existing coefficient below the leading one
     e = min(e for e in good.poly.terms if e != alpha)
-    poly = good.poly + fam.ring.monomial(e, good.poly.coefficient(e))
-    assert poly.terms.keys() == good.poly.terms.keys()
-    tampered = LabeledPolynomial(label=alpha, poly=poly,
-                                 spectrum=good.spectrum)
-    assert not fam.verify_spectrum(tampered)
+    outside = tuple(x + 5 for x in alpha)
+    assert outside not in good.poly.terms
+    wrong = [
+        # one existing coefficient below the leading one doubled
+        good.poly + fam.ring.monomial(e, good.poly.coefficient(e)),
+        # that term dropped
+        good.poly - fam.ring.monomial(e, good.poly.coefficient(e)),
+        # a term added outside the support
+        good.poly + fam.ring.monomial(outside),
+        # every coefficient doubled: the same support, not monic
+        good.poly.scale(2),
+    ]
+    assert wrong[0].terms.keys() == wrong[3].terms.keys() \
+        == good.poly.terms.keys()
+    for poly in wrong:
+        tampered = LabeledPolynomial(label=alpha, poly=poly,
+                                     spectrum=good.spectrum)
+        assert not fam.verify_spectrum(tampered)
     spectrum = (good.spectrum[0] * fam.domain.q,) + tuple(good.spectrum[1:])
     wrong_spec = LabeledPolynomial(label=alpha, poly=good.poly,
                                    spectrum=spectrum)
     assert not fam.verify_spectrum(wrong_spec)
+
+
+def _field_walk(family, alpha):
+    """The chain state of alpha, walked over the field rep family.rep."""
+    point = (0,) * family.n
+    f = family.ring.one()
+    for i in weyl.chain_to(alpha):
+        spec = weyl.spectral_vector(point, family.domain)
+        f = spectral_intertwiner(family.rep, i, spec, f)
+        point = weyl.affine_action(i, point)
+    return f
+
+
+@pytest.mark.parametrize("n, weight", [(1, 3), (2, 2)])
+def test_laurent_chain_states_equal_the_field_walk(symbolic, n, weight):
+    family = KoornwinderFamily(n, symbolic)
+    assert family.raw_rep is not family.rep
+    for alpha in monomial_exponents(n, weight):
+        raw = family._chain_state(alpha)
+        assert all(isinstance(c, paramfield.LaurentScalar)
+                   for c in raw.terms.values())
+        walk = _field_walk(family, alpha)
+        converted = family.raw_eigenvector(alpha)
+        assert converted.terms.keys() == walk.terms.keys()
+        for e, c in converted.terms.items():
+            assert c == walk.terms[e]
+
+
+def test_symbolic_chain_and_y_checks_build_no_field_element(monkeypatch,
+                                                            symbolic):
+    alpha = (1, -1)
+    labeled = KoornwinderFamily(2, symbolic).nonsymmetric(alpha)
+    family = KoornwinderFamily(2, symbolic)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field element was built")
+    with monkeypatch.context() as patch:
+        patch.setattr(paramfield, "_normalize", refuse)
+        raw = family._chain_state(alpha)
+        spec = weyl.spectral_vector(alpha, family.raw_rep.domain)
+        for i in (1, 2):
+            assert family.raw_rep.y(i, raw) == raw * spec[i - 1]
+    # and the final comparison never inverts the leading coefficient
+    monkeypatch.setattr(paramfield.FieldElement, "inverse", refuse)
+    assert family.verify_spectrum(labeled)
+
+
+def test_specialized_chain_states_live_in_the_domain(specialized):
+    family = KoornwinderFamily(2, specialized)
+    assert specialized.raw_domain is specialized
+    assert family.raw_rep is family.rep
+    assert family.raw_eigenvector((1, -1)) is family._chain_state((1, -1))
 
 
 def test_basis_check_refuses_a_negative_degree(fam2):
