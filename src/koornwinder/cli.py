@@ -108,36 +108,34 @@ def build_parser():
     return parser
 
 
-def _assignment_from(args, seed_override=None):
-    if args.assignment:
-        return args.assignment
-    if seed_override is not None:
-        return Assignment.from_seed(seed_override)
-    return Assignment.default()
+def _report(args, run, render, passed):
+    """The one report path of every command: build the report with
+    run(assignment), print it as compact JSON or, with --text, as
+    render(report), and return the exit code, 0 if passed(report) and
+    1 otherwise.
 
-
-def _emit(report, as_json, render_text):
-    if as_json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        print(render_text(report))
-
-
-def _with_redraw(args, run):
-    """Run once; on an unlucky specialization re-draw the assignment
-    deterministically from the seed and retry once.  An explicitly given
-    assignment is never overridden."""
+    An unlucky specialization or non-generic parameters under the default
+    assignment re-draw it once, deterministically from --seed; an
+    explicitly given assignment is never overridden.
+    """
     try:
-        return run(_assignment_from(args))
+        report = run(args.assignment or Assignment.default())
     except (UnluckySpecializationError, NonGenericParametersError):
         if args.assignment:
             raise
-        retry_seed = args.seed * 1000003 + 17
-        return run(_assignment_from(args, seed_override=retry_seed))
+        report = run(Assignment.from_seed(args.seed * 1000003 + 17))
+    if args.as_json:
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    else:
+        print(render(report))
+    return 0 if passed(report) else 1
 
 
 def _cmd_compute(args):
+    labeled = None  # the polynomial of the report, for its text form
+
     def run(assignment):
+        nonlocal labeled
         domain = make_domain(args.mode, assignment)
         if args.command == "compute-p":
             labeled = KoornwinderFamily(args.n, domain).symmetric(args.lam)
@@ -147,21 +145,18 @@ def _cmd_compute(args):
                                        cache_dir=args.cache_dir)
             labeled = family.nonsymmetric(args.alpha)
             verified = family.verify_spectrum(labeled)
-        report = labeled.to_json()
-        report["verified"] = verified
-        report["_text"] = "\n".join([
+        return dict(labeled.to_json(), verified=verified)
+
+    def render(report):
+        return "\n".join([
             "label: " + ",".join(str(x) for x in labeled.label),
             "n: %d" % args.n,
             "polynomial: " + labeled.poly.text(),
             "spectrum: " + "; ".join(str(v) for v in labeled.spectrum),
-            "verified: %s" % verified,
+            "verified: %s" % report["verified"],
         ])
-        return report
 
-    report = _with_redraw(args, run)
-    text = report.pop("_text")
-    _emit(report, args.as_json, lambda r: text)
-    return 0 if report["verified"] else 1
+    return _report(args, run, render, lambda r: r["verified"])
 
 
 def _cmd_basis_check(args):
@@ -169,12 +164,12 @@ def _cmd_basis_check(args):
         domain = make_domain(args.mode, assignment)
         return KoornwinderFamily(args.n, domain).basis_check(args.degree)
 
-    report = _with_redraw(args, run)
-    _emit(report, args.as_json,
-          lambda r: "basis n=%d degree=%d: rank %d of %d (%s)"
-          % (r["n"], r["degree"], r["rank"], r["size"],
-             "invertible" if r["invertible"] else "SINGULAR"))
-    return 0 if report["invertible"] else 1
+    def render(r):
+        return "basis n=%d degree=%d: rank %d of %d (%s)" % (
+            r["n"], r["degree"], r["rank"], r["size"],
+            "invertible" if r["invertible"] else "SINGULAR")
+
+    return _report(args, run, render, lambda r: r["invertible"])
 
 
 def _cmd_check_relations(args):
@@ -185,16 +180,13 @@ def _cmd_check_relations(args):
                 "results": results,
                 "all_pass": all(r["status"] == "pass" for r in results)}
 
-    report = _with_redraw(args, run)
-
     def render(r):
         lines = ["%s: %s" % (entry["relation"], entry["status"])
                  for entry in r["results"]]
         lines.append("all_pass: %s" % r["all_pass"])
         return "\n".join(lines)
 
-    _emit(report, args.as_json, render)
-    return 0 if report["all_pass"] else 1
+    return _report(args, run, render, lambda r: r["all_pass"])
 
 
 def _cmd_check_duality(args):
@@ -202,29 +194,24 @@ def _cmd_check_duality(args):
         domain = make_domain(args.mode, assignment)
         checker = DualityChecker(KoornwinderFamily(args.n, domain))
         checks = []
+
+        def add(kind, check, left, right):
+            checks.append({"kind": kind, "left": list(left),
+                           "right": list(right),
+                           "status": "pass" if check(left, right) else "fail"})
+
         labels = monomial_exponents(args.n, args.max_weight)
         partitions = partitions_up_to(args.n, args.max_weight)
         for alpha in labels:
             for beta in labels:
-                ok = checker.check_duality_e(alpha, beta)
-                checks.append({"kind": "E", "left": list(alpha),
-                               "right": list(beta),
-                               "status": "pass" if ok else "fail"})
+                add("E", checker.check_duality_e, alpha, beta)
         for lam in partitions:
             for mu in partitions:
-                ok = checker.check_duality_p(lam, mu)
-                checks.append({"kind": "P", "left": list(lam),
-                               "right": list(mu),
-                               "status": "pass" if ok else "fail"})
-                ok = checker.check_evaluation_ratio(lam, mu)
-                checks.append({"kind": "ratio", "left": list(lam),
-                               "right": list(mu),
-                               "status": "pass" if ok else "fail"})
+                add("P", checker.check_duality_p, lam, mu)
+                add("ratio", checker.check_evaluation_ratio, lam, mu)
         return {"n": args.n, "max_weight": args.max_weight, "mode": args.mode,
                 "checks": checks,
                 "all_pass": all(c["status"] == "pass" for c in checks)}
-
-    report = _with_redraw(args, run)
 
     def render(r):
         fails = [c for c in r["checks"] if c["status"] != "pass"]
@@ -235,8 +222,7 @@ def _cmd_check_duality(args):
         lines.append("all_pass: %s" % r["all_pass"])
         return "\n".join(lines)
 
-    _emit(report, args.as_json, render)
-    return 0 if report["all_pass"] else 1
+    return _report(args, run, render, lambda r: r["all_pass"])
 
 
 def _cmd_specialize(args):
@@ -252,9 +238,7 @@ def _cmd_specialize(args):
         return {"value": str(value),
                 "assignment": assignment.as_strings()}
 
-    report = _with_redraw(args, run)
-    _emit(report, args.as_json, lambda r: r["value"])
-    return 0
+    return _report(args, run, lambda r: r["value"], lambda r: True)
 
 
 def main(argv=None):

@@ -82,12 +82,14 @@ class Assignment:
 
 
 class _BaseDomain:
-    """Shared derived values; subclasses provide the six square roots."""
+    """Shared derived values; subclasses pass the six square roots."""
 
-    def _derive(self):
-        qs, ts = self.q_sqrt, self.t_sqrt
-        t0s, tns = self.t0_sqrt, self.tn_sqrt
-        u0s, uns = self.u0_sqrt, self.un_sqrt
+    def __init__(self, zero, one, roots):
+        """zero, one and the square roots of (q, t, t0, tn, u0, un); every
+        other constant is derived from the roots."""
+        self.zero, self.one = zero, one
+        (self.q_sqrt, self.t_sqrt, self.t0_sqrt, self.tn_sqrt, self.u0_sqrt,
+         self.un_sqrt) = qs, ts, t0s, tns, u0s, uns = roots
         self.q = qs * qs
         self.t = ts * ts
         self.t0 = t0s * t0s
@@ -148,13 +150,10 @@ class LaurentScalarDomain(_BaseDomain):
     """
 
     def __init__(self):
-        self.zero = LaurentScalar.from_int(0)
-        self.one = LaurentScalar.from_int(1)
-        (self.q_sqrt, self.t_sqrt, self.t0_sqrt, self.tn_sqrt, self.u0_sqrt,
-         self.un_sqrt) = (LaurentScalar.monomial(tuple(int(j == i)
-                                                       for j in range(6)))
-                          for i in range(6))
-        self._derive()
+        roots = [LaurentScalar.monomial([int(j == i) for j in range(6)])
+                 for i in range(6)]
+        super().__init__(LaurentScalar.from_int(0), LaurentScalar.from_int(1),
+                         roots)
 
     def from_int(self, k):
         return LaurentScalar.from_int(k)
@@ -169,15 +168,10 @@ class SymbolicDomain(_BaseDomain):
 
     def __init__(self):
         self.raw_domain = LaurentScalarDomain()
-        self.zero = paramfield.ZERO
-        self.one = paramfield.ONE
-        self.q_sqrt = paramfield.SQRT_Q
-        self.t_sqrt = paramfield.SQRT_T
-        self.t0_sqrt = paramfield.SQRT_T0
-        self.tn_sqrt = paramfield.SQRT_TN
-        self.u0_sqrt = paramfield.SQRT_U0
-        self.un_sqrt = paramfield.SQRT_UN
-        self._derive()
+        super().__init__(paramfield.ZERO, paramfield.ONE,
+                         (paramfield.SQRT_Q, paramfield.SQRT_T,
+                          paramfield.SQRT_T0, paramfield.SQRT_TN,
+                          paramfield.SQRT_U0, paramfield.SQRT_UN))
 
     def q_pow(self, k):
         return FieldElement.monomial((2 * index(k), 0, 0, 0, 0, 0))
@@ -221,11 +215,7 @@ class SpecializedDomain(_BaseDomain):
 
     def __init__(self, assignment=None):
         self.assignment = assignment or Assignment.default()
-        (self.q_sqrt, self.t_sqrt, self.t0_sqrt,
-         self.tn_sqrt, self.u0_sqrt, self.un_sqrt) = self.assignment.values()
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-        self._derive()
+        super().__init__(Fraction(0), Fraction(1), self.assignment.values())
         self.raw_domain = self
 
     def from_int(self, k):

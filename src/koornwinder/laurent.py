@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from operator import add, index, sub
 
+from .paramfield import _power
+
 
 class ExactDivisionError(ArithmeticError):
     """Division left a nonzero remainder; a divisibility guarantee broke."""
@@ -169,10 +171,7 @@ class LaurentPolynomial:
         k = index(k)
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        return _power(self, k, self.ring.one())
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):

@@ -279,16 +279,7 @@ class FieldElement:
 
     def __pow__(self, k):
         k = index(k)
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self if k >= 0 else self.inverse(), abs(k), ONE)
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -479,14 +470,7 @@ class LaurentScalar:
         if len(terms) == 1:
             (e, c), = terms.items()
             return LaurentScalar({tuple(x * k for x in e): c ** abs(k)})
-        out = LaurentScalar.from_int(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, LaurentScalar.from_int(1))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -509,6 +493,22 @@ class LaurentScalar:
 
     def __repr__(self):
         return _poly_str(self.terms)
+
+
+def _power(base, k, one):
+    """base ** k for an int k >= 0 by repeated squaring, from the low bit
+    of k up; base is squared only while a higher bit is left, so no
+    product is thrown away, and k = 1 returns base itself."""
+    if not k:
+        return one
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out * base
+        k >>= 1
+        if not k:
+            return out
+        base = base * base
 
 
 def _merged(out, terms):

@@ -1,6 +1,7 @@
 import pytest
 
 from koornwinder.domains import SymbolicDomain, SpecializedDomain
+from koornwinder.noumi import NoumiRepresentation
 from koornwinder.paramfield import FieldElement
 
 
@@ -12,6 +13,19 @@ def symbolic():
 @pytest.fixture(scope="session")
 def specialized():
     return SpecializedDomain()
+
+
+@pytest.fixture
+def broken_t1(monkeypatch):
+    """Every NoumiRepresentation built in the test doubles the t_1^(1/2)
+    that T_1 applies to s_1-invariant input, and nothing else."""
+    build = NoumiRepresentation.__init__
+
+    def broken(self, ring):
+        build(self, ring)
+        self._t_half[1] = self._t_half[1] * 2
+
+    monkeypatch.setattr(NoumiRepresentation, "__init__", broken)
 
 
 def random_monomial_exponents(rng, spread=2):

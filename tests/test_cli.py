@@ -1,9 +1,10 @@
 import hashlib
+import io
 import json
 
 import pytest
 
-from koornwinder import noumi, paramfield
+from koornwinder import duality, noumi, paramfield, polynomials
 from koornwinder.cli import main
 
 
@@ -126,6 +127,18 @@ def test_specialize_stdin_value(capsys, tmp_path, monkeypatch):
                            "--assignment", "1,1,1,7,1,13")
     assert code == 0
     assert json.loads(out)["value"] == "91"
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ((), '{"assignment":["2","3","5","7","11","13"],"value":"4/9"}\n'),
+    (("--text",), "4/9\n"),
+])
+def test_specialize_reads_stdin(capsys, monkeypatch, flags, expected):
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"num":[["1",[2,0,0,0,0,0]]],"den":[["1",[0,2,0,0,0,0]]]}'))
+    code, out, err = run_cli(capsys, "specialize",
+                             "--assignment", "2,3,5,7,11,13", *flags)
+    assert (code, out, err) == (0, expected, "")
 
 
 @pytest.mark.parametrize("payload", [
@@ -259,6 +272,84 @@ def test_failed_eigen_check_exits_one(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "eigenvalue" in json.loads(err)["error"]
+
+
+# --text reports of passing runs, recorded before the subcommands shared
+# one report path
+PINNED_TEXT = {
+    ("check-relations", "--n", "1", "--degree", "1"):
+        "quadratic T0: pass\nquadratic T1: pass\n"
+        "quadratic X1^-1 T1^-1 (un): pass\nquadratic U0 (u0): pass\n"
+        "all_pass: True\n",
+    ("check-duality", "--n", "1", "--max-weight", "1"):
+        "checks: 17\nfailures: 0\nall_pass: True\n",
+    ("basis-check", "--n", "2", "--degree", "1"):
+        "basis n=2 degree=1: rank 5 of 5 (invertible)\n",
+    ("compute-e", "--n", "1", "--alpha", "1"):
+        "label: 1\nn: 1\n"
+        "polynomial: 1*x1 + (2766448/934219) + (6432/6533)*x1^-1\n"
+        "spectrum: 140\nverified: True\n",
+    ("compute-p", "--n", "1", "--lambda", "1"):
+        "label: 1\nn: 1\npolynomial: 1*x1 + (695512/233519) + 1*x1^-1\n"
+        "spectrum: 140\nverified: True\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_TEXT), ids=" ".join)
+def test_text_report_is_pinned(capsys, argv):
+    assert run_cli(capsys, *argv, "--text") == (0, PINNED_TEXT[argv], "")
+
+
+def test_failed_relation_exits_one(capsys, broken_t1):
+    argv = ("check-relations", "--n", "1", "--degree", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report["all_pass"] is False
+    assert report["results"][1] == {"relation": "quadratic T1",
+                                    "status": "fail", "witness": [0]}
+    assert run_cli(capsys, *argv, "--text") == (1, (
+        "quadratic T0: pass\nquadratic T1: fail\n"
+        "quadratic X1^-1 T1^-1 (un): fail\nquadratic U0 (u0): pass\n"
+        "all_pass: False\n"), "")
+
+
+def test_failed_duality_check_is_listed(capsys, monkeypatch):
+    check = duality.DualityChecker.check_duality_e
+    monkeypatch.setattr(
+        duality.DualityChecker, "check_duality_e",
+        lambda self, a, b: (a, b) != ((-1,), (1,)) and check(self, a, b))
+    assert run_cli(capsys, "check-duality", "--n", "1", "--max-weight", "1",
+                   "--text") == (
+        1, "checks: 17\nfailures: 1\n  E [-1] | [1]\nall_pass: False\n", "")
+
+
+def test_singular_basis_exits_one(capsys, monkeypatch):
+    state = polynomials.KoornwinderFamily._generic_state
+
+    def escaped(self, alpha):
+        raw, lead = state(self, alpha)
+        return raw * raw.ring.gen(1) * raw.ring.gen(1), lead
+
+    monkeypatch.setattr(polynomials.KoornwinderFamily, "_generic_state",
+                        escaped)
+    assert run_cli(capsys, "basis-check", "--n", "2", "--degree", "1",
+                   "--text") == (
+        1, "basis n=2 degree=1: rank 0 of 5 (SINGULAR)\n", "")
+
+
+def test_unverified_polynomial_is_reported_and_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(polynomials.KoornwinderFamily, "verify_spectrum",
+                        lambda self, labeled: False)
+    argv = ("compute-e", "--n", "1", "--alpha", "1")
+    assert run_cli(capsys, *argv) == (1, (
+        '{"label":[1],"n":1,"spectrum":[140],"terms":[{"coeff":"6432/6533",'
+        '"exp":[-1]},{"coeff":"2766448/934219","exp":[0]},{"coeff":1,'
+        '"exp":[1]}],"verified":false}\n'), "")
+    assert run_cli(capsys, *argv, "--text") == (1, (
+        "label: 1\nn: 1\n"
+        "polynomial: 1*x1 + (2766448/934219) + (6432/6533)*x1^-1\n"
+        "spectrum: 140\nverified: False\n"), "")
 
 
 # stdout of two symbolic commands, recorded before the coefficient field

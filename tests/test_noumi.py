@@ -352,6 +352,18 @@ def test_relation_suite_refuses_a_negative_degree(specialized):
         check_daha_relations(2, -1, specialized)
 
 
+def test_relation_suite_reports_a_broken_operator(specialized, broken_t1):
+    # T_1 reads the broken t_1^(1/2) only on s_1-invariant input; the
+    # first such monomial in the sorted ball is x^(0,0), after (-1,0) and
+    # (0,-1), which s_1 swaps
+    report = {r["relation"]: r for r in check_daha_relations(2, 1, specialized)}
+    assert report["quadratic T1"] == {"relation": "quadratic T1",
+                                      "status": "fail", "witness": [0, 0]}
+    assert report["quadratic T0"] == {"relation": "quadratic T0",
+                                      "status": "pass"}
+    assert not all(r["status"] == "pass" for r in report.values())
+
+
 def test_relation_v_on_constant(rep2):
     d = rep2.domain
     one = rep2.ring.one()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from koornwinder import weyl
 from koornwinder.domains import SpecializedDomain, SymbolicDomain
 from koornwinder.laurent import LaurentRing
 from koornwinder.noumi import NoumiRepresentation, monomial_exponents
@@ -107,3 +108,39 @@ def test_oracle_rejects_label_outside_piece(specialized):
     oracle = EigenOracle(rep, 1)
     with pytest.raises(ValueError):
         oracle.joint_eigenvector((2,))
+
+
+def test_oracle_refuses_an_operator_that_leaves_the_piece(monkeypatch,
+                                                          specialized):
+    rep = NoumiRepresentation(LaurentRing(1, specialized))
+    monkeypatch.setattr(rep, "y", lambda i, f, sign=1: f * rep.ring.gen(1))
+    with pytest.raises(AssertionError, match="left the filtration piece"):
+        EigenOracle(rep, 1)
+
+
+def test_oracle_refuses_an_eigenspace_of_the_wrong_dimension(monkeypatch,
+                                                            specialized):
+    rep = NoumiRepresentation(LaurentRing(1, specialized))
+    spectrum = weyl.spectral_vector
+    # q times the true eigenvalue is no eigenvalue of Y_1 on the piece
+    monkeypatch.setattr(weyl, "spectral_vector", lambda alpha, dom: tuple(
+        v * dom.q for v in spectrum(alpha, dom)))
+    with pytest.raises(AssertionError, match="dimension 0, expected 1"):
+        EigenOracle(rep, 1).joint_eigenvector((1,))
+    # with Y_1 the identity, every vector of the piece is an eigenvector
+    monkeypatch.setattr(rep, "y", lambda i, f, sign=1: f)
+    monkeypatch.setattr(weyl, "spectral_vector",
+                        lambda alpha, dom: (dom.one,) * len(alpha))
+    with pytest.raises(AssertionError, match="dimension 3, expected 1"):
+        EigenOracle(rep, 1).joint_eigenvector((1,))
+
+
+def test_oracle_refuses_an_eigenvector_without_its_label(monkeypatch,
+                                                         specialized):
+    rep = NoumiRepresentation(LaurentRing(1, specialized))
+    spectrum = weyl.spectral_vector
+    # the eigenspace of the spectrum of (0,) is spanned by E_0 = 1
+    monkeypatch.setattr(weyl, "spectral_vector",
+                        lambda alpha, dom: spectrum((0,), dom))
+    with pytest.raises(AssertionError, match="vanishes at its own label"):
+        EigenOracle(rep, 1).joint_eigenvector((1,))

@@ -266,3 +266,55 @@ def test_laurent_scalar_is_not_a_fraction():
     with pytest.raises(TypeError):
         r * 1.5
     assert r != "x" and r != pf.SQRT_Q
+
+
+def _old_power(base, k, one):
+    """The loop that **'s repeated squaring replaced: it squared the base
+    once more after the top bit of k."""
+    out = one
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
+def _power_cases():
+    from koornwinder.domains import SpecializedDomain
+    from koornwinder.laurent import LaurentRing
+    x = FieldElement({(1, 0, 0, 0, 0, 0): 1, (0, 2, 0, 0, 0, 0): -2},
+                     {(0, 0, 1, 0, 0, 0): 3, (0, 0, 0, 0, 0, 0): 1})
+    s = pf.LaurentScalar({(1, 0, 0, 0, 0, 0): 1, (0, -1, 0, 0, 0, 2): -2})
+    ring = LaurentRing(2, SpecializedDomain())
+    p = ring.gen(1) + ring.gen(2, -1).scale(Fraction(3, 2))
+    return [(FieldElement, x, pf.ONE, lambda v: (v.num, v.den)),
+            (pf.LaurentScalar, s, pf.LaurentScalar.from_int(1),
+             lambda v: v.terms),
+            (type(p), p, ring.one(), lambda v: v.terms)]
+
+
+@pytest.mark.parametrize("case", range(3),
+                         ids=["FieldElement", "LaurentScalar",
+                              "LaurentPolynomial"])
+def test_power_squares_no_further_than_the_top_bit(monkeypatch, case):
+    cls, base, one, form = _power_cases()[case]
+    products = []
+    mul = cls.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    for k, expected in ((0, 0), (1, 0), (2, 1), (5, 3)):
+        old = _old_power(base, k, one)
+        monkeypatch.setattr(cls, "__mul__", counted)
+        products.clear()
+        got = base ** k
+        monkeypatch.setattr(cls, "__mul__", mul)
+        assert len(products) == expected
+        assert got == old and form(got) == form(old)
+    if cls is FieldElement:
+        inverse = base ** -1
+        assert form(inverse) == form(_old_power(base.inverse(), 1, one))
+        assert inverse * base == pf.ONE

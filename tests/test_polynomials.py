@@ -260,6 +260,20 @@ def test_verify_spectrum_rejects_wrong_data(request, name, alpha):
     assert not fam.verify_spectrum(wrong_spec)
 
 
+@pytest.mark.parametrize("mode, alpha", [("symbolic", (1,)),
+                                         ("specialized", (1, 0))])
+def test_verify_spectrum_rejects_a_chain_state_that_is_no_eigenvector(
+        request, mode, alpha):
+    family = KoornwinderFamily(len(alpha), request.getfixturevalue(mode))
+    ring = family.raw_rep.ring
+    # a cached state with its label but no eigenvector: the monic output
+    # is its multiple, so only the Y check can tell
+    family._raw[alpha] = ring.monomial(alpha) + ring.one()
+    labeled = family.nonsymmetric(alpha)
+    assert labeled.poly == family.ring.monomial(alpha) + family.ring.one()
+    assert not family.verify_spectrum(labeled)
+
+
 def _field_walk(family, alpha):
     """The chain state of alpha, walked over the field rep family.rep."""
     point = (0,) * family.n
@@ -405,6 +419,22 @@ def test_symmetric_rejects_an_image_that_is_not_invariant(monkeypatch,
                         lambda f: (x1 + x1 * x1, specialized.one))
     with pytest.raises(ValueError, match="not W0-invariant"):
         family.symmetric((1, 0))
+
+
+def test_symmetric_refuses_an_image_without_its_label(monkeypatch,
+                                                     specialized):
+    family = KoornwinderFamily(2, specialized)
+    lam = (1, 0)
+    image_of = family.raw_rep._symmetrizer_sum
+
+    def without_label(f):
+        image, norm = image_of(f)
+        return image - image.ring.monomial(lam, image.coefficient(lam)), norm
+
+    monkeypatch.setattr(family.raw_rep, "_symmetrizer_sum", without_label)
+    with pytest.raises(NonGenericParametersError,
+                       match=r"symmetrizer image has no x\^\(1, 0\) term"):
+        family.symmetric(lam)
 
 
 @pytest.mark.parametrize("q_sqrt", [Fraction(1, 2), 3])
