@@ -165,6 +165,9 @@ def _cmd_basis_check(args):
         return KoornwinderFamily(args.n, domain).basis_check(args.degree)
 
     def render(r):
+        if "error" in r:
+            return "basis n=%d degree=%d: error: %s" % (
+                r["n"], r["degree"], r["error"])
         return "basis n=%d degree=%d: rank %d of %d (%s)" % (
             r["n"], r["degree"], r["rank"], r["size"],
             "invertible" if r["invertible"] else "SINGULAR")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import getitem, index
 
 from . import paramfield
-from .paramfield import FieldElement, LaurentScalar
+from .paramfield import FieldElement, LaurentScalar, _lcm, _mul
 
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -183,12 +183,12 @@ class SymbolicDomain(_BaseDomain):
         return v.to_field()
 
     def product_equals(self, a, b, c):
-        """Whether a * b == c, by one cross multiplication of ring
-        elements; a product of field elements would run the gcd of
-        paramfield._normalize instead.  verify_spectrum passes converted
-        Laurent scalars as b and c, whose denominators are monomials, so
-        those are multiplied in before the large products."""
-        return a.num * (b.num * c.den) == c.num * (a.den * b.den)
+        """Whether a * b == c, by one cross multiplication of numerators
+        and denominators; a product of field elements would run the gcd
+        of paramfield._normalize instead.  verify_spectrum passes
+        converted Laurent scalars as b and c, whose denominators are
+        monomials, so those are multiplied in before the large products."""
+        return _mul(a.num, _mul(b.num, c.den)) == _mul(c.num, _mul(a.den, b.den))
 
     def complexity(self, v):
         return len(v.num) + len(v.den)
@@ -196,10 +196,7 @@ class SymbolicDomain(_BaseDomain):
     def common_denominator(self, values):
         """A nonzero scalar whose product with each value is a polynomial
         in the square roots: the lcm of the denominator polynomials."""
-        den = paramfield.ONE.den
-        for v in values:
-            den = den.lcm(v.den)
-        return FieldElement(den)
+        return FieldElement(_lcm(v.den for v in values))
 
     def encode_scalar(self, v):
         return v.to_json_value()

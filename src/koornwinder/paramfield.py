@@ -4,32 +4,35 @@ Elements are quotients num/den of integer polynomials in the square roots
 of the parameters (q, t, t0, tn, u0, un).  Exponents of the square roots
 are stored doubled so that everything stays in plain integer arithmetic:
 the stored monomial (1, 0, 0, 0, 0, 0) is q**(1/2) and (2, 0, 0, 0, 0, 0)
-is q itself.  num and den are elements of one sparse polynomial ring
-ZZ[r0..r5] (sympy's PolyRing, lex order), where r_i stands for the square
-root of the i-th parameter; they are dictionaries from exponent tuples to
-nonzero integers.
+is q itself.  num and den are plain dictionaries from exponent tuples to
+nonzero ints, and one set of private kernels (_add, _sub, _neg, _mul)
+does the sparse arithmetic of both FieldElement and LaurentScalar.  The
+kernels never mutate their operands and may return one of them, so term
+dictionaries are shared between elements and never mutated.
 
 Canonical form: no zero coefficients, the integer content and the common
-monomial factor of num and den removed, and the lexicographically leading
-denominator coefficient positive.  A full multivariate gcd is attempted
-only past a size threshold; equality is decided by cross multiplication
-and never depends on gcd reduction.
+monomial factor of num and den removed (every exponent nonnegative, with
+minimum zero in each variable), and the denominator coefficient at the
+lexicographically largest exponent positive.  A full multivariate gcd is
+attempted only past a size threshold; equality is decided by cross
+multiplication and never depends on gcd reduction.
 
-sympy is imported on first use, by _load(): when the first FieldElement
-is built, or when one of the constants ZERO, ONE, SQRT_Q .. SQRT_UN is
-first read through the module __getattr__.  Specialized mode computes
-in Fractions and never builds an element, so it never pays for that
-import.  The module itself is still imported by the package: it defines
-the public constants and exception, and tracing tools find FieldElement
-and _full_reduce in it through sys.modules.
+Only the gcd and the lcm need a computer-algebra library.  _load
+imports it on the first call of _full_reduce, the gcd reduction, or of
+_lcm, the lcm behind SymbolicDomain.common_denominator; each converts
+its inputs to the library's sparse ring and its result back to term
+dictionaries.  The constants ZERO, ONE and SQRT_Q .. SQRT_UN are built
+on import, so specialized mode, `specialize` and symbolic work whose
+coefficients stay below GCD_TERM_THRESHOLD never pay for that import.
 
 LaurentScalar is the subring Z[r^+-1] of Laurent polynomials in the
-square roots, with its own dict arithmetic and no sympy: symbolic chain
-states are built over it, and only normalization needs the field.
+square roots: symbolic chain states are built over it, and only
+normalization needs the field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from operator import index, sub
@@ -41,33 +44,71 @@ GCD_TERM_THRESHOLD = 64
 
 _N = 6
 _ZERO_EXP = (0,) * _N
-
-# Set by _load(), together with the public constants of _CONSTANTS; ring
-# elements are shared between field elements and never mutated.
-_RING = _ONE = PolyElement = HeuristicGCDFailed = None
+_ONE = {_ZERO_EXP: 1}
 
 
 class UnluckySpecializationError(ArithmeticError):
     """A denominator vanished at the chosen parameter assignment."""
 
 
-# Exponent rewrites for the involutions.  epsilon inverts q, t, tn, u0 and
-# trades t0 for un^{-1} (and vice versa); dagger inverts all six; star is
-# the composite and just swaps t0 with un.
-def _eps_exp(e):
-    return (-e[0], -e[1], -e[5], -e[3], -e[4], -e[2])
+# ---------------------------------------------------------------------------
+# the term-dictionary kernels
+
+def _merged(out, terms):
+    """out, a dictionary the caller owns, plus terms."""
+    get = out.get
+    for e, c in terms.items():
+        s = get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
 
 
-def _dagger_exp(e):
-    return (-e[0], -e[1], -e[2], -e[3], -e[4], -e[5])
+def _add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return _merged(dict(a), b)
 
 
-def _star_exp(e):
-    return (e[0], e[1], e[5], e[3], e[4], e[2])
+def _neg(a):
+    return {e: -c for e, c in a.items()}
 
 
-def _map_exponents(p, fn):
-    return {fn(e): c for e, c in p.items()}
+def _sub(a, b):
+    b = _neg(b)
+    return _merged(b, a) if len(b) >= len(a) else _merged(dict(a), b)
+
+
+def _mul(a, b):
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # a monomial: a shift plus a scale, and no two products meet
+        (e, c), = a.items()
+        if e == _ZERO_EXP:
+            return b if c == 1 else {e2: c * c2 for e2, c2 in b.items()}
+        a0, a1, a2, a3, a4, a5 = e
+        return {(x0 + a0, x1 + a1, x2 + a2, x3 + a3, x4 + a4, x5 + a5): c * c2
+                for (x0, x1, x2, x3, x4, x5), c2 in b.items()}
+    out = {}
+    get = out.get
+    for (a0, a1, a2, a3, a4, a5), c1 in a.items():
+        for (x0, x1, x2, x3, x4, x5), c2 in b.items():
+            e = (x0 + a0, x1 + a1, x2 + a2, x3 + a3, x4 + a4, x5 + a5)
+            out[e] = get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _monomial(exponents, coeff):
+    """The terms of coeff times the monomial with the given doubled
+    exponents of (q, t, t0, tn, u0, un)."""
+    e = tuple(map(index, exponents))
+    if len(e) != _N:
+        raise ValueError("expected 6 doubled exponents")
+    coeff = index(coeff)
+    return {e: coeff} if coeff else {}
 
 
 # ---------------------------------------------------------------------------
@@ -76,39 +117,67 @@ def _map_exponents(p, fn):
 def _strip_monomial(num, den):
     """Divide num and den by their common monomial factor.
 
-    This is the one way into the ring: the inputs may be exponent
-    dictionaries with negative entries (but no zero coefficients); the
-    outputs are ring elements whose exponents are nonnegative, with
-    minimum zero in every variable.
+    The inputs may have negative exponents (but no zero coefficients);
+    in the outputs every exponent is nonnegative, with minimum zero in
+    every variable.  Inputs already in that form are returned as given.
     """
     shift = tuple(map(min, zip(*num, *den)))
-    if not any(shift) and isinstance(num, PolyElement) \
-            and isinstance(den, PolyElement):
+    if not any(shift):
         return num, den
 
     def shifted(p):
-        return _RING.dtype([(tuple(map(sub, e, shift)), c)
-                            for e, c in p.items()])
+        return {tuple(map(sub, e, shift)): c for e, c in p.items()}
 
     return shifted(num), shifted(den)
 
 
 def _strip_content(num, den):
-    g = num.content()
+    g = math.gcd(*num.values())
     if g != 1:
-        g = math.gcd(g, den.content())
+        g = math.gcd(g, *den.values())
     if g == 1:
         return num, den
-    return num.quo_ground(g), den.quo_ground(g)
+    return ({e: c // g for e, c in num.items()},
+            {e: c // g for e, c in den.items()})
+
+
+@functools.cache
+def _load():
+    """sympy's sparse ring ZZ[r0..r5] in lex order, where r_i stands for
+    the square root of the i-th parameter, and the exception its
+    heuristic gcd raises.  sympy is imported on the first call."""
+    from sympy import ZZ
+    from sympy.polys.orderings import lex
+    from sympy.polys.polyerrors import HeuristicGCDFailed
+    from sympy.polys.rings import PolyRing
+    return PolyRing("r0:6", ZZ, lex), HeuristicGCDFailed
+
+
+def _from_ring(p):
+    """A polynomial of the ring of _load as a term dictionary; its
+    coefficients may be another integer type than int."""
+    return {e: int(c) for e, c in p.items()}
 
 
 def _full_reduce(num, den):
-    """Divide out the multivariate gcd of num and den."""
+    """Divide out the multivariate gcd of num and den, in sympy's ring."""
+    ring, heuristic_failed = _load()
+    num, den = ring.from_dict(num), ring.from_dict(den)
     try:
         _, num, den = num.cofactors(den)
-    except HeuristicGCDFailed:
-        _, num, den = _RING.dmp_inner_gcd(num, den)
-    return num, den
+    except heuristic_failed:
+        _, num, den = ring.dmp_inner_gcd(num, den)
+    return _from_ring(num), _from_ring(den)
+
+
+def _lcm(polys):
+    """The lcm of nonzero polynomials with nonnegative exponents, by
+    sympy's lcm in the ring of _load."""
+    ring, _ = _load()
+    out = ring.one
+    for p in polys:
+        out = out.lcm(ring.from_dict(p))
+    return _from_ring(out)
 
 
 def _normalize(num, den, reduce=False):
@@ -122,25 +191,25 @@ def _normalize(num, den, reduce=False):
     if not den:
         raise ZeroDivisionError("field element with zero denominator")
     if not num:
-        return _RING.zero, _ONE
+        return {}, _ONE
     num, den = _strip_monomial(num, den)
     num, den = _strip_content(num, den)
     if reduce or (max(len(num), len(den)) > GCD_TERM_THRESHOLD
                   and min(len(num), len(den)) > 1):
         num, den = _full_reduce(num, den)
-    if den.LC < 0:
-        num, den = -num, -den
+    if den[max(den)] < 0:
+        num, den = _neg(num), _neg(den)
     if len(num) == len(den):
         if num == den:
             return _ONE, _ONE
-        if num == -den:
-            return -_ONE, _ONE
+        if num == _neg(den):
+            return {_ZERO_EXP: -1}, _ONE
     return num, den
 
 
 def _element(num, den, reduce=False):
-    """A field element from ring elements, skipping the zero-coefficient
-    filter of the public constructor."""
+    """A field element from term dictionaries without zero coefficients,
+    skipping the filter of the public constructor."""
     out = object.__new__(FieldElement)
     out.num, out.den = _normalize(num, den, reduce)
     return out
@@ -165,6 +234,19 @@ def _terms_from_json(pairs):
     return out
 
 
+def _binary(op):
+    """The binary operator op(self, other), with other of another type
+    first coerced by self._coerce; NotImplemented when it cannot be."""
+    @functools.wraps(op)
+    def method(self, other):
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return op(self, other)
+    return method
+
+
 # ---------------------------------------------------------------------------
 
 class FieldElement:
@@ -177,13 +259,9 @@ class FieldElement:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        """num/den from exponent dictionaries or ring elements; exponents
-        may be negative and coefficients zero."""
-        if _RING is None:
-            _load()
-        if den is None:
-            den = {_ZERO_EXP: 1}
+    def __init__(self, num, den=_ONE):
+        """num/den from exponent dictionaries; exponents may be negative
+        and coefficients zero."""
         self.num, self.den = _normalize({e: c for e, c in num.items() if c},
                                         {e: c for e, c in den.items() if c})
 
@@ -201,10 +279,7 @@ class FieldElement:
     @classmethod
     def monomial(cls, exponents, coeff=1):
         """Monomial with the given doubled exponents of (q, t, t0, tn, u0, un)."""
-        e = tuple(map(index, exponents))
-        if len(e) != _N:
-            raise ValueError("expected 6 doubled exponents")
-        return cls({e: index(coeff)})
+        return cls(_monomial(exponents, coeff))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -218,45 +293,38 @@ class FieldElement:
             return FieldElement.from_fraction(x)
         return None
 
+    @_binary
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if self.den == other.den:
-            return _element(self.num + other.num, self.den)
-        return _element(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
+            return _element(_add(self.num, other.num), self.den)
+        return _element(_add(_mul(self.num, other.den),
+                             _mul(other.num, self.den)),
+                        _mul(self.den, other.den))
 
     __radd__ = __add__
 
     def __neg__(self):
         out = object.__new__(FieldElement)
-        out.num, out.den = -self.num, self.den
+        out.num, out.den = _neg(self.num), self.den
         return out
 
+    @_binary
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
+    @_binary
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other + (-self)
 
+    @_binary
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         # cheap cross cancellation of identical dictionaries
         if n1 == d2:
             n1 = d2 = _ONE
         if n2 == d1:
             n2 = d1 = _ONE
-        return _element(n1 * n2, d1 * d2)
+        return _element(_mul(n1, n2), _mul(d1, d2))
 
     __rmul__ = __mul__
 
@@ -265,48 +333,43 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero field element")
         return _element(self.den, self.num)
 
+    @_binary
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self * other.inverse()
 
+    @_binary
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other * self.inverse()
 
     def __pow__(self, k):
         k = index(k)
         return _power(self if k >= 0 else self.inverse(), abs(k), ONE)
 
+    @_binary
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         # cross multiplication; no reliance on canonical gcd reduction
-        return self.num * other.den == other.num * self.den
+        return _mul(self.num, other.den) == _mul(other.num, self.den)
 
     def __bool__(self):
         return bool(self.num)
 
     # -- involutions ----------------------------------------------------
 
+    def _mapped(self, exponent_map):
+        return FieldElement({exponent_map(e): c for e, c in self.num.items()},
+                            {exponent_map(e): c for e, c in self.den.items()})
+
     def epsilon(self):
         """Invert q, t, tn, u0; send t0 to 1/un and un to 1/t0."""
-        return FieldElement(_map_exponents(self.num, _eps_exp),
-                            _map_exponents(self.den, _eps_exp))
+        return self._mapped(lambda e: (-e[0], -e[1], -e[5], -e[3], -e[4], -e[2]))
 
     def dagger(self):
         """Invert all six parameters (and their square roots)."""
-        return FieldElement(_map_exponents(self.num, _dagger_exp),
-                            _map_exponents(self.den, _dagger_exp))
+        return self._mapped(lambda e: (-e[0], -e[1], -e[2], -e[3], -e[4], -e[5]))
 
     def star(self):
         """Swap t0 and un; the composite of epsilon and dagger."""
-        return FieldElement(_map_exponents(self.num, _star_exp),
-                            _map_exponents(self.den, _star_exp))
+        return self._mapped(lambda e: (e[0], e[1], e[5], e[3], e[4], e[2]))
 
     # -- specialization -------------------------------------------------
 
@@ -341,8 +404,8 @@ class FieldElement:
 
     def to_json_value(self):
         """Compact form: a bare int when the element is an integer."""
-        if self.den == 1 and self.num.is_ground:
-            return int(self.num.const())
+        if self.den == _ONE and self.num.keys() <= {_ZERO_EXP}:
+            return self.num.get(_ZERO_EXP, 0)
         return self.to_json_obj()
 
     @classmethod
@@ -361,7 +424,7 @@ class FieldElement:
         return cls(num, den)
 
     def __repr__(self):
-        if self.den == 1:
+        if self.den == _ONE:
             return _poly_str(self.num)
         return "(%s)/(%s)" % (_poly_str(self.num), _poly_str(self.den))
 
@@ -376,7 +439,7 @@ class LaurentScalar:
     The units of the ring are the monomials with coefficient +-1; they
     are the only elements with an inverse, and inverting anything else
     raises ArithmeticError rather than leave the ring.  to_field is the
-    one way into FieldElement.  No sympy: plain dict arithmetic.
+    one way into FieldElement.
     """
 
     __slots__ = ("terms",)
@@ -393,11 +456,7 @@ class LaurentScalar:
     @classmethod
     def monomial(cls, exponents, coeff=1):
         """Monomial with the given doubled exponents of (q, t, t0, tn, u0, un)."""
-        e = tuple(map(index, exponents))
-        if len(e) != _N:
-            raise ValueError("expected 6 doubled exponents")
-        coeff = index(coeff)
-        return cls({e: coeff} if coeff else {})
+        return cls(_monomial(exponents, coeff))
 
     @staticmethod
     def _coerce(x):
@@ -407,56 +466,26 @@ class LaurentScalar:
             return LaurentScalar.from_int(x)
         return None
 
+    @_binary
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        return _merged(dict(a), b)
+        return LaurentScalar(_add(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentScalar({e: -c for e, c in self.terms.items()})
+        return LaurentScalar(_neg(self.terms))
 
+    @_binary
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.terms, {e: -c for e, c in other.terms.items()}
-        return _merged(b, a) if len(b) >= len(a) else _merged(dict(a), b)
+        return LaurentScalar(_sub(self.terms, other.terms))
 
+    @_binary
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other - self
 
+    @_binary
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            # a monomial: a shift plus a scale, and no two products meet
-            (e, c), = a.items()
-            if e == _ZERO_EXP:
-                return LaurentScalar({e2: c * c2 for e2, c2 in b.items()})
-            a0, a1, a2, a3, a4, a5 = e
-            return LaurentScalar({
-                (x0 + a0, x1 + a1, x2 + a2, x3 + a3, x4 + a4, x5 + a5): c * c2
-                for (x0, x1, x2, x3, x4, x5), c2 in b.items()})
-        out = {}
-        get = out.get
-        for (a0, a1, a2, a3, a4, a5), c1 in a.items():
-            for (x0, x1, x2, x3, x4, x5), c2 in b.items():
-                e = (x0 + a0, x1 + a1, x2 + a2, x3 + a3, x4 + a4, x5 + a5)
-                out[e] = get(e, 0) + c1 * c2
-        return LaurentScalar({e: c for e, c in out.items() if c})
+        return LaurentScalar(_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -472,16 +501,12 @@ class LaurentScalar:
             return LaurentScalar({tuple(x * k for x in e): c ** abs(k)})
         return _power(self, k, LaurentScalar.from_int(1))
 
+    @_binary
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self * other ** (-1)
 
+    @_binary
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self.terms == other.terms
 
     def __bool__(self):
@@ -489,7 +514,7 @@ class LaurentScalar:
 
     def to_field(self):
         """The same element as a FieldElement."""
-        return FieldElement(self.terms)
+        return _element(self.terms, _ONE)
 
     def __repr__(self):
         return _poly_str(self.terms)
@@ -509,18 +534,6 @@ def _power(base, k, one):
         if not k:
             return out
         base = base * base
-
-
-def _merged(out, terms):
-    """out, a dictionary the caller owns, plus terms, as a LaurentScalar."""
-    get = out.get
-    for e, c in terms.items():
-        s = get(e, 0) + c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return LaurentScalar(out)
 
 
 def _eval_poly(p, vals):
@@ -563,39 +576,7 @@ def _poly_str(p):
     return out
 
 
-def _sqrt_exp(index):
-    e = [0] * _N
-    e[index] = 1
-    return tuple(e)
-
-
-_CONSTANTS = ("ZERO", "ONE") + tuple("SQRT_" + name.upper()
-                                     for name in PARAM_NAMES)
-
-
-def _load():
-    """Import sympy, then build the ring and the constants of _CONSTANTS.
-
-    Runs once: FieldElement.__init__ calls it before the first element
-    and module __getattr__ before the first constant is read.  Everything
-    else that touches the ring starts from an existing element.
-    """
-    global _RING, _ONE, PolyElement, HeuristicGCDFailed
-    from sympy import ZZ
-    from sympy.polys.orderings import lex
-    from sympy.polys.polyerrors import HeuristicGCDFailed
-    from sympy.polys.rings import PolyElement, PolyRing
-    ring = PolyRing("r0:6", ZZ, lex)
-    _ONE = ring.one
-    _RING = ring  # set last: __init__ tests it, and the constants need _ONE
-    globals().update(zip(_CONSTANTS, [
-        FieldElement.from_int(0), FieldElement.from_int(1),
-        *(FieldElement.monomial(_sqrt_exp(i)) for i in range(_N))]))
-
-
-def __getattr__(name):
-    """ZERO, ONE and SQRT_Q .. SQRT_UN, built on first access (PEP 562)."""
-    if name in _CONSTANTS:
-        _load()
-        return globals()[name]
-    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+ZERO = FieldElement.from_int(0)
+ONE = FieldElement.from_int(1)
+SQRT_Q, SQRT_T, SQRT_T0, SQRT_TN, SQRT_U0, SQRT_UN = (
+    FieldElement.monomial([int(j == i) for j in range(_N)]) for i in range(_N))

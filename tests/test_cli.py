@@ -335,7 +335,7 @@ def test_singular_basis_exits_one(capsys, monkeypatch):
                         escaped)
     assert run_cli(capsys, "basis-check", "--n", "2", "--degree", "1",
                    "--text") == (
-        1, "basis n=2 degree=1: rank 0 of 5 (SINGULAR)\n", "")
+        1, "basis n=2 degree=1: error: support escapes the filtration\n", "")
 
 
 def test_unverified_polynomial_is_reported_and_exits_one(capsys, monkeypatch):

@@ -1,4 +1,6 @@
-"""sympy is imported by the first symbolic field element, not by the package.
+"""sympy is imported by the first gcd or lcm of field elements: not by the
+package, the symbolic domain or a symbolic command whose coefficients
+stay small.
 
 Each test runs its snippet in a fresh interpreter, so that no module
 imported by another test is already in sys.modules.
@@ -68,3 +70,22 @@ assert domain.one == 1 and domain.zero == 0
 assert cli.main(%r) == 0
 """ % (list(argv),))
     assert out == PINNED_STDOUT[argv]
+
+
+def test_sympy_is_imported_only_when_a_gcd_needs_it(tmp_path):
+    element = tmp_path / "element.json"
+    element.write_text('{"num":[["1",[2,0,0,0,0,0]]],'
+                       '"den":[["1",[0,2,0,0,0,0]]]}')
+    run_fresh("""
+import sys
+from koornwinder import cli
+for argv in (["basis-check", "--n", "1", "--degree", "4", "--mode", "symbolic"],
+             ["check-relations", "--n", "1", "--degree", "2",
+              "--mode", "symbolic"],
+             ["compute-e", "--n", "1", "--alpha", "1", "--mode", "symbolic"],
+             ["specialize", "--input", %r, "--assignment", "2,3,5,7,11,13"]):
+    assert cli.main(argv) == 0, argv
+    assert "sympy" not in sys.modules, argv
+assert cli.main(["compute-e", "--n", "1", "--alpha", "3", "--mode", "symbolic"]) == 0
+assert "sympy" in sys.modules
+""" % (str(element),))

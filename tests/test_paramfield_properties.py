@@ -3,11 +3,13 @@ involutions and specialization as ring homomorphisms, the canonical
 form as a fixed point of the constructor, and the Laurent scalars of the
 raw chain states against the field."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
 from koornwinder import paramfield as pf
+from koornwinder.domains import SymbolicDomain
 from koornwinder.paramfield import (FieldElement, LaurentScalar,
                                     UnluckySpecializationError)
 
@@ -85,6 +87,12 @@ def test_specialize_is_a_ring_homomorphism(vals, x, y):
 def test_constructor_reproduces_canonical_form(x):
     y = FieldElement(x.num, x.den)
     assert y.num == x.num and y.den == x.den
+    # the form that perfbench/reference.py's specialize_num_den reads
+    assert type(x.num) is dict and type(x.den) is dict
+    assert all(x.num.values()) and all(x.den.values())
+    assert all(min(column) == 0 for column in zip(*x.num, *x.den))
+    assert math.gcd(*x.num.values(), *x.den.values()) == 1
+    assert x.den[max(x.den)] > 0
 
 
 @st.composite
@@ -111,6 +119,22 @@ def test_laurent_scalars_agree_with_the_field(x, y, k, power):
     assert (x ** power).to_field() == fx ** power
     assert (x == y) == (fx == fy)
     assert bool(x) == bool(fx)
+
+
+@field_settings
+@given(elements(), nonzero_elements, laurent_scalars(), laurent_scalars())
+def test_arithmetic_never_mutates_its_operands(x, y, r, s):
+    # results may share their operands' term dictionaries
+    operands = (x.num, x.den, y.num, y.den, r.terms, s.terms,
+                pf.ONE.num, pf.ONE.den)
+    before = [dict(terms) for terms in operands]
+    domain = SymbolicDomain()
+    results = [x + y, x - y, x * y, x / y, -x, 1 - x, x * 1, x ** 2,
+               y ** -1, x.canonical(), x.epsilon(), x == y,
+               domain.product_equals(x, y, x * y),
+               domain.common_denominator([x, y]),
+               r + s, r - s, r * s, -r, 1 - r, r * 1, r ** 2, r.to_field()]
+    assert results and [dict(terms) for terms in operands] == before
 
 
 @field_settings
