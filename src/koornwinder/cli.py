@@ -36,7 +36,7 @@ def _parse_assignment(text):
     rationals."""
     try:
         return Assignment.parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(
             "invalid assignment %r: %s" % (text, exc)) from None
 

@@ -28,6 +28,14 @@ from .paramfield import FieldElement, LaurentScalar, _lcm, _mul
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
+def _rational(v):
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError("square-root value %r has a zero denominator"
+                         % (v,)) from None
+
+
 @dataclass(frozen=True)
 class Assignment:
     """Rational values for the six parameter square roots."""
@@ -41,7 +49,7 @@ class Assignment:
 
     @classmethod
     def make(cls, values):
-        vals = [Fraction(v) for v in values]
+        vals = list(map(_rational, values))
         if len(vals) != 6:
             raise ValueError("expected 6 square-root values")
         if any(v == 0 for v in vals):
@@ -66,7 +74,7 @@ class Assignment:
 
     @classmethod
     def parse(cls, text):
-        return cls.make([Fraction(part) for part in text.split(",")])
+        return cls.make(text.split(","))
 
     def values(self):
         return (self.q_sqrt, self.t_sqrt, self.t0_sqrt,
@@ -121,13 +129,23 @@ class _BaseDomain:
             return self.t_sqrt
         raise ValueError("generator index out of range: %r" % (i,))
 
-    def evaluate_terms(self, terms, point):
-        """sum_e c_e x^e over the terms {e: c_e} at a point with nonzero
-        coordinates, term by term; each power of a coordinate is computed
-        once per call."""
+    def split(self, c):
+        """A scalar as the (numerator, denominator) pair that a Laurent
+        polynomial stores: here (c, 1), so polynomials keep their scalar
+        coefficients over denominator 1."""
+        return c, 1
+
+    def join(self, c, den):
+        """The scalar c / den, for den as split returns it."""
+        return c
+
+    def evaluate_terms(self, num, den, point):
+        """sum_e c_e x^e over the numerators {e: c_e} at a point with
+        nonzero coordinates, term by term; den is 1 (see split).  Each
+        power of a coordinate is computed once per call."""
         total = self.zero
         pows = [{} for _ in point]
-        for e, c in terms.items():
+        for e, c in num.items():
             v = c
             for i, k in enumerate(e):
                 if k:
@@ -232,46 +250,51 @@ class SpecializedDomain(_BaseDomain):
         """The lcm of the denominators of the values."""
         return Fraction(math.lcm(*(v.denominator for v in values)))
 
-    def evaluate_terms(self, terms, point):
-        """sum_e c_e x^e over one common denominator, reduced to lowest
-        terms once per call rather than once per arithmetic operation.
+    def split(self, c):
+        """(numerator, denominator) of a Fraction or an int."""
+        return c.numerator, c.denominator
+
+    def join(self, c, den):
+        return Fraction(c, den)
+
+    def evaluate_terms(self, num, den, point):
+        """sum_e c_e x^e / den over one common denominator, reduced to
+        lowest terms once per call rather than once per arithmetic
+        operation.
 
         Write x_i = a_i / b_i in lowest terms (b_i > 0) and let l_i, h_i be
         the least and largest exponent of x_i over the terms.  Then
         x_i^e_i = a_i^(e_i - l_i) b_i^(h_i - e_i) * a_i^l_i / b_i^h_i, where
-        both exponents of the first factor lie in 0..h_i - l_i.  With L
-        the lcm of the coefficient denominators,
-            sum_e c_e x^e = S * prod_i a_i^l_i / b_i^h_i / L,
-            S = sum_e (L c_e) prod_i a_i^(e_i - l_i) b_i^(h_i - e_i),
+        both exponents of the first factor lie in 0..h_i - l_i.  So
+            sum_e c_e x^e / den = S * prod_i a_i^l_i / b_i^h_i / den,
+            S = sum_e c_e prod_i a_i^(e_i - l_i) b_i^(h_i - e_i),
         an integer summed from one table of a^j b^(h - l - j) per
         variable.  One Fraction is built at the end.
         """
-        if not terms:
+        if not num:
             return self.zero
-        lcm = math.lcm(*(c.denominator for c in terms.values()))
-        num, den = 1, lcm
+        scale = 1
         tables = []
-        for x, column in zip(point, zip(*terms)):
+        for x, column in zip(point, zip(*num)):
             a, b = x.numerator, x.denominator
             low, high = min(column), max(column)
             if low >= 0:
-                num *= a ** low
+                scale *= a ** low
             else:
                 den *= a ** -low
             if high >= 0:
                 den *= b ** high
             else:
-                num *= b ** -high
+                scale *= b ** -high
             width = high - low
             row = [a ** j for j in range(width + 1)]
             if b != 1:
                 row = [v * b ** (width - j) for j, v in enumerate(row)]
             tables.append({low + j: v for j, v in enumerate(row)})
         total = 0
-        for e, c in terms.items():
-            total += (c.numerator * (lcm // c.denominator)
-                      * math.prod(map(getitem, tables, e)))
-        return Fraction(total * num, den)
+        for e, c in num.items():
+            total += c * math.prod(map(getitem, tables, e))
+        return Fraction(total * scale, den)
 
     def star_domain(self):
         return SpecializedDomain(self.assignment.star())

@@ -25,7 +25,7 @@ def star_polynomial(f):
         raise ValueError("literal star needs symbolic coefficients; "
                          "use the paired-assignment protocol instead")
     return LaurentPolynomial(
-        ring, {tuple(-x for x in e): c.star() for e, c in f.terms.items()})
+        ring, {tuple(-x for x in e): c.star() for e, c in f.num.items()}, f.den)
 
 
 def dual_spectral_point(domain, mu, sign=1):
@@ -37,9 +37,11 @@ def dual_spectral_point(domain, mu, sign=1):
                  for i, m in enumerate(mu, start=1))
 
 
-def _inverted(poly):
+def _inverted(ring, poly):
+    """poly with every variable inverted, as a polynomial of ring; the
+    numerators and denominator do not depend on the domain."""
     return LaurentPolynomial(
-        poly.ring, {tuple(-x for x in e): c for e, c in poly.terms.items()})
+        ring, {tuple(-x for x in e): c for e, c in poly.num.items()}, poly.den)
 
 
 class DualityChecker:
@@ -78,7 +80,7 @@ class DualityChecker:
             if self.symbolic:
                 return star_polynomial(getattr(self.family, kind)(label).poly)
             source = getattr(self._fam(not starred), kind)(label).poly
-            return _inverted(self._fam(starred).ring.from_terms(source.terms))
+            return _inverted(self._fam(starred).ring, source)
         return self._cached(("star", kind, tuple(label), starred), compute)
 
     # -- pairings --------------------------------------------------------

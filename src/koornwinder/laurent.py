@@ -1,10 +1,21 @@
 """Sparse exact Laurent polynomials over a coefficient domain.
 
-A polynomial is a dict mapping integer exponent vectors (tuples of fixed
-length n) to nonzero coefficients.  The module also provides the
-exponential map for affine exponents, the action of the affine simple
-reflections and q-shifts on polynomials, exact division, and evaluation
-at points with nonzero coordinates.
+A polynomial is a dict ``num`` mapping integer exponent vectors (tuples
+of fixed length n) to nonzero numerators, over one positive integer
+denominator ``den``.  Over a specialized domain the numerators are
+ints, and the form is kept reduced: den and the content (the gcd of the
+numerators) are coprime, so equal polynomials have equal (num, den).
+This is the fraction-free representation of Geddes, Czapor and Labahn
+(Algorithms for Computer Algebra, 1992): an operation reduces by one
+gcd over all its numerators instead of one gcd per coefficient.  The
+domain's split and join hooks convert between its scalars and
+(numerator, denominator) pairs; a symbolic domain splits c into (c, 1),
+so its polynomials keep their scalar coefficients over den 1 and run
+the same code.  ``terms`` is a fresh dict of domain scalars, for
+readers.  The module also provides the exponential map for affine
+exponents, the action of the affine simple reflections and q-shifts on
+polynomials, exact division, and evaluation at points with nonzero
+coordinates.
 
 Exact division takes a divisor of one or two terms, which is every
 denominator the engine has; a product of binomials is divided one
@@ -13,11 +24,18 @@ A two-term divisor c_a x^a + c_b x^b goes through synthetic division:
 multiplying by it maps each line e + k (a - b) of exponents into
 itself, so each line of the dividend is divided on its own, as a
 one-variable polynomial by a linear one, from the top of the line
-down.  A nonzero remainder raises ExactDivisionError.
+down.  A nonzero remainder raises ExactDivisionError.  Over the
+integers the divisor is first divided by its content, which leaves a
+primitive binomial G.  By Gauss's lemma a product of primitive
+polynomials is primitive, so if G h = F for an integer F, h has integer
+coefficients; every step of the synthetic division is then an exact
+int division, and a step that leaves a remainder proves that G does
+not divide F.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from operator import add, index, sub
 
 from .paramfield import _power
@@ -34,29 +52,30 @@ def _grlex(e):
 class LaurentRing:
     """Factory for Laurent polynomials in n variables over a domain."""
 
-    __slots__ = ("n", "domain")
+    __slots__ = ("n", "domain", "_q_powers")
 
     def __init__(self, n, domain):
         if n < 1:
             raise ValueError("need at least one variable")
         self.n = n
         self.domain = domain
+        self._q_powers = {}     # k -> q^k split into (numerator, denominator)
 
     def zero(self):
         return LaurentPolynomial(self, {})
 
     def one(self):
-        return LaurentPolynomial(self, {(0,) * self.n: self.domain.one})
+        return self.monomial((0,) * self.n)
 
     def scalar(self, c):
-        return LaurentPolynomial(self, {(0,) * self.n: c} if c else {})
+        return self.monomial((0,) * self.n, c)
 
     def monomial(self, exponents, coeff=None):
         e = tuple(map(index, exponents))
         if len(e) != self.n:
             raise ValueError("exponent vector has wrong length")
-        c = self.domain.one if coeff is None else coeff
-        return LaurentPolynomial(self, {e: c} if c else {})
+        c, den = self.domain.split(self.domain.one if coeff is None else coeff)
+        return LaurentPolynomial(self, {e: c}, den) if c else self.zero()
 
     def gen(self, i, power=1):
         """The variable x_i (1-indexed) raised to an integer power."""
@@ -67,14 +86,19 @@ class LaurentRing:
         return self.monomial(e)
 
     def from_terms(self, mapping):
-        terms = {}
+        """The polynomial sum c x^e over a mapping {e: c} of scalars."""
+        split, parts = self.domain.split, {}
         for e, c in mapping.items():
             e = tuple(map(index, e))
             if len(e) != self.n:
                 raise ValueError("exponent vector has wrong length")
+            c, d = split(c)
             if c:
-                terms[e] = c
-        return LaurentPolynomial(self, terms)
+                parts[e] = c, d
+        # over the lcm of reduced denominators the form is already reduced
+        den = lcm(*(d for _, d in parts.values()))
+        return LaurentPolynomial(self, {e: c if d == den else c * (den // d)
+                                        for e, (c, d) in parts.items()}, den)
 
     def exp_monomial(self, vector, delta=0):
         """x^(v + k*delta) = q^(-k) * x1^v1 ... xn^vn."""
@@ -87,63 +111,104 @@ class LaurentRing:
             {tuple(t["exp"]): self.domain.decode_scalar(t["coeff"])
              for t in obj["terms"]})
 
+    def _q_power(self, k):
+        """q^k as a (numerator, denominator) pair, computed once per ring."""
+        parts = self._q_powers.get(k)
+        if parts is None:
+            parts = self._q_powers[k] = self.domain.split(self.domain.q_pow(k))
+        return parts
+
+
+def _reduced(ring, num, den):
+    """The polynomial num / den with den and the content made coprime."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return LaurentPolynomial(ring, num, den)
+
 
 class LaurentPolynomial:
-    """Immutable sparse Laurent polynomial tied to a LaurentRing."""
+    """Immutable sparse Laurent polynomial tied to a LaurentRing: the
+    numerators num over the positive int den (see the module docstring)."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "num", "den")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, num, den=1):
         self.ring = ring
-        self.terms = terms
+        self.num = num
+        self.den = den
+
+    @property
+    def terms(self):
+        """{exponent: coefficient} as domain scalars, in a fresh dict."""
+        join, den = self.ring.domain.join, self.den
+        return {e: join(c, den) for e, c in self.num.items()}
 
     def _check(self, other):
         if self.ring.n != other.ring.n:
             raise ValueError("polynomials from rings of different rank")
 
+    def _common(self, other):
+        """(den, m1, m2): a common denominator and the multipliers of the
+        two numerator dicts, 1 where a dict already stands over it."""
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            return d1, 1, 1
+        den = lcm(d1, d2)
+        return den, den // d1, den // d2
+
     def __add__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        den, m1, m2 = self._common(other)
+        out = dict(self.num) if m1 == 1 else {e: c * m1 for e, c in self.num.items()}
+        for e, c in other.num.items():
+            if m2 != 1:
+                c = c * m2
             cur = out.get(e)
             s = c if cur is None else cur + c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return LaurentPolynomial(self.ring, out)
+        return _reduced(self.ring, out, den)
 
     def __neg__(self):
-        return LaurentPolynomial(self.ring, {e: -c for e, c in self.terms.items()})
+        return LaurentPolynomial(self.ring, {e: -c for e, c in self.num.items()},
+                                 self.den)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        den, m1, m2 = self._common(other)
+        out = dict(self.num) if m1 == 1 else {e: c * m1 for e, c in self.num.items()}
+        for e, c in other.num.items():
+            if m2 != 1:
+                c = c * m2
             cur = out.get(e)
             s = -c if cur is None else cur - c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return LaurentPolynomial(self.ring, out)
+        return _reduced(self.ring, out, den)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPolynomial):
             self._check(other)
-            a, b = self.terms, other.terms
+            a, b = self.num, other.num
             if len(a) > len(b):
                 a, b = b, a
+            den = self.den * other.den
             if len(a) == 1:
                 # a monomial: a shift plus a scale, and no two products meet
                 (e1, c1), = a.items()
-                return LaurentPolynomial(
-                    self.ring, {tuple(map(add, e1, e2)): c1 * c2
-                                for e2, c2 in b.items()})
+                return _reduced(self.ring, {tuple(map(add, e1, e2)): c1 * c2
+                                            for e2, c2 in b.items()}, den)
             out = {}
             for e1, c1 in a.items():
                 for e2, c2 in b.items():
@@ -154,18 +219,21 @@ class LaurentPolynomial:
                         out[e] = s
                     else:
                         out.pop(e, None)
-            return LaurentPolynomial(self.ring, out)
+            return _reduced(self.ring, out, den)
         return self.scale(other)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
+        dom = self.ring.domain
         if isinstance(c, int):
-            c = self.ring.domain.from_int(c)
+            c = dom.from_int(c)
+        c, d = dom.split(c)
         if not c:
             return self.ring.zero()
-        return LaurentPolynomial(self.ring, {e: v * c for e, v in self.terms.items()})
+        return _reduced(self.ring, {e: v * c for e, v in self.num.items()},
+                        self.den * d)
 
     def __pow__(self, k):
         k = index(k)
@@ -176,22 +244,26 @@ class LaurentPolynomial:
     def __eq__(self, other):
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self.ring.n == other.ring.n and self.terms == other.terms
+        # both forms are reduced, so equal polynomials have equal parts
+        return (self.ring.n == other.ring.n and self.den == other.den
+                and self.num == other.num)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     def coefficient(self, exponents):
-        return self.terms.get(tuple(exponents), self.ring.domain.zero)
+        c = self.num.get(tuple(exponents))
+        dom = self.ring.domain
+        return dom.zero if c is None else dom.join(c, self.den)
 
     def support(self):
-        return sorted(self.terms)
+        return sorted(self.num)
 
     def abs_degree(self):
         """Largest |e1| + ... + |en| over the support (0 for the zero poly)."""
-        if not self.terms:
+        if not self.num:
             return 0
-        return max(sum(abs(x) for x in e) for e in self.terms)
+        return max(sum(abs(x) for x in e) for e in self.num)
 
     def evaluate(self, point):
         """Exact substitution x_i -> point_i; all coordinates must be nonzero.
@@ -203,7 +275,7 @@ class LaurentPolynomial:
             raise ValueError("evaluation point has wrong length")
         if any(not p for p in point):
             raise ValueError("evaluation point has a zero coordinate")
-        return self.ring.domain.evaluate_terms(self.terms, point)
+        return self.ring.domain.evaluate_terms(self.num, self.den, point)
 
     def to_json(self):
         enc = self.ring.domain.encode_scalar
@@ -215,7 +287,7 @@ class LaurentPolynomial:
 
     def text(self):
         """Human-readable rendering, one term per '+'."""
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for e, c in sorted(self.terms.items(), reverse=True):
@@ -247,47 +319,45 @@ def apply_simple_reflection(i, f):
     ring = f.ring
     n = ring.n
     if i == 0:
-        q_pow = _q_powers(ring)
-        return LaurentPolynomial(
-            ring, {(-e[0],) + e[1:]: c * q_pow(e[0]) if e[0] else c
-                   for e, c in f.terms.items()})
+        return _times_q_powers(f, {(-e[0],) + e[1:]: (c, e[0])
+                                   for e, c in f.num.items()})
     if i == n:
         return LaurentPolynomial(
-            ring, {e[:-1] + (-e[-1],): c for e, c in f.terms.items()})
+            ring, {e[:-1] + (-e[-1],): c for e, c in f.num.items()}, f.den)
     if 0 < i < n:
         out = {}
-        for e, c in f.terms.items():
+        for e, c in f.num.items():
             ne = list(e)
             ne[i - 1], ne[i] = ne[i], ne[i - 1]
             out[tuple(ne)] = c
-        return LaurentPolynomial(ring, out)
+        return LaurentPolynomial(ring, out, f.den)
     raise ValueError("reflection index out of range: %r" % (i,))
 
 
 def apply_translation(i, f, sign=1):
     """The q-shift x_i -> q^sign * x_i (1-indexed i)."""
-    ring = f.ring
-    if not 1 <= i <= ring.n:
+    if not 1 <= i <= f.ring.n:
         raise ValueError("variable index out of range")
-    q_pow = _q_powers(ring)
+    return _times_q_powers(f, {e: (c, sign * e[i - 1])
+                               for e, c in f.num.items()})
+
+
+def _times_q_powers(f, moved):
+    """sum c q^k x^e over moved = {e: (c, k)}, c numerators over f.den.
+
+    With q^k = a_k / b_k, the result stands over f.den * L, L the lcm of
+    the b_k, and each c is multiplied by a_k L / b_k; that factor is
+    skipped where it is one."""
+    ring = f.ring
+    parts = {k: ring._q_power(k) for _, k in moved.values()}
+    big = lcm(*(d for _, d in parts.values()))
+    factor = {k: a if d == big else a * (big // d)
+              for k, (a, d) in parts.items() if k or big != 1}
     out = {}
-    for e, c in f.terms.items():
-        k = e[i - 1]
-        out[e] = c * q_pow(sign * k) if k else c
-    return LaurentPolynomial(ring, out)
-
-
-def _q_powers(ring):
-    """k -> q^k, each power computed once for the lifetime of the returned
-    function (one call of an action)."""
-    q_pow, powers = ring.domain.q_pow, {}
-
-    def power(k):
-        p = powers.get(k)
-        if p is None:
-            p = powers[k] = q_pow(k)
-        return p
-    return power
+    for e, (c, k) in moved.items():
+        m = factor.get(k)
+        out[e] = c if m is None else c * m
+    return _reduced(ring, out, f.den * big)
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +379,20 @@ def exact_divide(f, g):
     term, where the quotient is unique and divisibility means a zero
     remainder.
     """
-    if not g.terms:
+    if not g.num:
         raise ZeroDivisionError("division by the zero polynomial")
-    if len(g.terms) > 2:
+    if len(g.num) > 2:
         raise ValueError("exact_divide takes a divisor of at most two terms, "
-                         "not %d" % len(g.terms))
+                         "not %d" % len(g.num))
     ring = f.ring
-    if not f.terms:
+    if not f.num:
         return ring.zero()
-    if len(g.terms) == 2:
+    if len(g.num) == 2:
         return _divide_binomial(f, g)
-    (e, c), = g.terms.items()
-    return f * ring.monomial([-x for x in e], c ** (-1))
+    (e, _), = g.num.items()
+    # the coefficient as a domain scalar: a Fraction, never an int, whose
+    # ** -1 would be a float
+    return f * ring.monomial([-x for x in e], g.coefficient(e) ** (-1))
 
 
 def _divide_binomial(f, g):
@@ -332,16 +404,19 @@ def _divide_binomial(f, g):
     each of its lines is.  On the line through a base point p, f reads
     sum_k f_k x^(p + k w) and g*h = f says f_k = c_a h_k + c_b h_(k+1),
     h_k the coefficient of h at p + k w - a.  So from the top position
-    down, h_k = f_k / c_a + rho h_(k+1) with rho = -c_b / c_a: the carry
-    of synthetic division by y - rho, one addition per quotient term and
-    a multiplication only where c_a or rho is not one.  At the line's
-    lowest position the carry is h there, which must vanish: c_b times
-    it would land below the lowest term of f.  That carry is the
-    remainder.
+    down, h_k = (f_k - c_b h_(k+1)) / c_a: the carry f_k - c_b h_(k+1)
+    is divided by c_a where c_a is not one, and h_(k+1) multiplied by
+    -c_b where that is not one.  At the line's lowest position the
+    carry is c_a times h there, which must vanish: c_b times it would
+    land below the lowest term of f.  That carry is the remainder.
+
+    Over the integers, g's numerators are divided by their content
+    first, so that the quotient of f's numerators is integral (see the
+    module docstring) and each division by c_a is an exact divmod; the
+    content and the two denominators are put back at the end.
     """
     ring = f.ring
-    one = ring.domain.one
-    (a, ca), (b, cb) = g.terms.items()
+    (a, ca), (b, cb) = g.num.items()
     if _grlex(a) < _grlex(b):
         a, ca, b, cb = b, cb, a, ca
     w = tuple(map(sub, a, b))
@@ -349,15 +424,19 @@ def _divide_binomial(f, g):
     # in the half-open range from 0 toward w_j
     j = next(k for k, x in enumerate(w) if x)
     wj = w[j]
-    inv = None if ca == one else ca ** (-1)
-    rho = -cb if inv is None else -(cb * inv)
-    if rho == one:
-        rho = None
+    if isinstance(ca, int):
+        content = gcd(ca, cb)
+        ca, cb, one = ca // content, cb // content, 1
+        divide = None if ca == 1 else _int_divider(ca)
+    else:
+        content, one = 1, ring.domain.one
+        divide = None if ca == one else (ca ** (-1)).__mul__
+    neg_cb = None if -cb == one else -cb
     lines = {}
-    for e, c in f.terms.items():
+    for e, c in f.num.items():
         k = e[j] // wj
         base = tuple(x - k * y for x, y in zip(e, w)) if k else e
-        lines.setdefault(base, {})[k] = c if inv is None else c * inv
+        lines.setdefault(base, {})[k] = c
     quot = {}
     for base, line in lines.items():
         top, bottom = max(line), min(line)
@@ -366,16 +445,28 @@ def _divide_binomial(f, g):
         carry = line[top]
         for k in range(top - 1, bottom - 1, -1):
             if carry:
-                quot[e] = carry
-                if rho is not None:
-                    carry = carry * rho
+                h = carry if divide is None else divide(carry)
+                quot[e] = h
+                carry = h if neg_cb is None else h * neg_cb
             e = tuple(map(sub, e, w))
             c = line.get(k)
             if c is not None:
                 carry = carry + c if carry else c
         if carry:
             raise ExactDivisionError("nonzero remainder in exact division")
-    return LaurentPolynomial(ring, quot)
+    if g.den != 1:
+        quot = {e: h * g.den for e, h in quot.items()}
+    return _reduced(ring, quot, f.den * content)
+
+
+def _int_divider(ca):
+    """x -> x / ca for an int x that ca must divide."""
+    def divide(x):
+        h, r = divmod(x, ca)
+        if r:
+            raise ExactDivisionError("nonzero remainder in exact division")
+        return h
+    return divide
 
 
 def unit_normalize(f):
@@ -385,12 +476,12 @@ def unit_normalize(f):
     with graded-lex leading coefficient one, and
     f == lead_coeff * x^shift * canon.
     """
-    if not f.terms:
+    if not f.num:
         raise ValueError("cannot unit-normalize the zero polynomial")
     ring = f.ring
-    shift = tuple(min(e[i] for e in f.terms) for i in range(ring.n))
-    shifted = {tuple(a - b for a, b in zip(e, shift)): c for e, c in f.terms.items()}
-    lead = shifted[max(shifted, key=_grlex)]
-    lead_inv = lead ** (-1)
-    canon = LaurentPolynomial(ring, {e: c * lead_inv for e, c in shifted.items()})
-    return shift, lead, canon
+    shift = tuple(min(e[i] for e in f.num) for i in range(ring.n))
+    shifted = LaurentPolynomial(
+        ring, {tuple(a - b for a, b in zip(e, shift)): c
+               for e, c in f.num.items()}, f.den)
+    lead = shifted.coefficient(max(shifted.num, key=_grlex))
+    return shift, lead, shifted.scale(lead ** (-1))

@@ -326,7 +326,7 @@ class NoumiRepresentation:
         f = f.scale(dom.common_denominator(f.terms.values()))
         shifted = [apply_translation(i, f, d)
                    for i in range(1, n + 1) for d in (1, -1)]
-        degree = max(abs(k) for e in f.terms for k in e)
+        degree = max(abs(k) for e in f.num for k in e)
         for point in itertools.combinations(self._grid_pool(degree), n):
             fx = f.evaluate(point)
             # y = x_i^+-1 in the order of shifted, and the factors of Q

@@ -133,7 +133,7 @@ class KoornwinderFamily:
             return raw
         convert = self.domain.from_raw
         return LaurentPolynomial(
-            self.ring, {e: convert(c) for e, c in raw.terms.items()})
+            self.ring, {e: convert(c) for e, c in raw.num.items()}, raw.den)
 
     def raw_eigenvector(self, alpha):
         """The unnormalized chain output: a nonzero scalar multiple of the
@@ -179,11 +179,12 @@ class KoornwinderFamily:
             if self.raw_rep.y(i, raw) != raw * spec[i - 1]:
                 return False
         lead = raw.coefficient(alpha)
-        if not lead or labeled.poly.terms.keys() != raw.terms.keys():
+        if not lead or labeled.poly.num.keys() != raw.num.keys():
             return False
         lead = from_raw(lead)
         same = self.domain.product_equals
-        return all(same(c, lead, from_raw(raw.terms[e]))
+        raw_terms = raw.terms
+        return all(same(c, lead, from_raw(raw_terms[e]))
                    for e, c in labeled.poly.terms.items())
 
     # -- symmetric family ----------------------------------------------------
@@ -255,13 +256,13 @@ class KoornwinderFamily:
         graph = TopologicalSorter()
         for alpha in exponents:
             raw, _ = self._generic_state(alpha)
-            if not raw.terms.keys() <= index.keys():
+            if not raw.num.keys() <= index.keys():
                 return {"n": self.n, "degree": degree,
                         "size": len(exponents), "rank": 0,
                         "invertible": False,
                         "error": "support escapes the filtration"}
             states.append(raw)
-            graph.add(alpha, *(e for e in raw.terms if e != alpha))
+            graph.add(alpha, *(e for e in raw.num if e != alpha))
         try:
             graph.prepare()
             rank = len(exponents)

@@ -191,6 +191,8 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("argv", [
     ["compute-e", "--n", "1", "--alpha", "1",
      "--assignment", "1/0,1,1,1,1,1"],
+    ["compute-e", "--n", "1", "--alpha", "1",
+     "--assignment", "2,3,5,7,11,1/0"],
     ["compute-e", "--n", "1", "--alpha", "1", "--assignment", "2,3"],
     ["specialize", "--assignment", "2,3,x,7,11,13"],
     ["compute-e", "--n", "1", "--alpha", "x"],
@@ -207,7 +209,10 @@ def test_malformed_input_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    if "1/0" in " ".join(argv):
+        assert "square-root value '1/0' has a zero denominator" in err
 
 
 def test_negative_first_assignment_value_takes_the_equals_form(capsys):
@@ -576,3 +581,34 @@ def test_gcd_reduced_stdout_is_pinned(capsys, argv):
     sizes = [len(t["coeff"][side]) for t in json.loads(out)["terms"]
              if isinstance(t["coeff"], dict) for side in ("num", "den")]
     assert max(sizes) > paramfield.GCD_TERM_THRESHOLD
+
+
+# sha256 of the stdout of specialized commands, recorded while specialized
+# polynomials still stored one Fraction per coefficient; the last command's
+# assignment has a rational and negative q^(1/2) and t0^(1/2).
+RATIONAL = "--assignment=-1/2,3,5/3,7,11,-13"
+PINNED_SPECIALIZED_DIGESTS = {
+    ("compute-e", "--n", "3", "--alpha", "2,-1,0"):
+        "1a26973061f5e6da6ceffc8043bc0555ec32786e5211014bebc5770bfcb344bd",
+    ("compute-p", "--n", "2", "--lambda", "2,1"):
+        "45fa2b76a323dfafdc6c334e7d7e17b23af8728bf967bd796050bddfe63638fa",
+    ("compute-p", "--n", "2", "--lambda", "2,1", "--text"):
+        "984dbc578cbf5fb2b886e36894e45ede66995aebbca23bebd6142ef0e642fc43",
+    ("compute-p", "--n", "4", "--lambda", "1,1,0,0"):
+        "a1751605ec7011a871c2372a26c7d5e41d7944066221ae1e6ce04b897ae59b63",
+    ("check-duality", "--n", "2", "--max-weight", "2"):
+        "43f70579dc1f39ff73f8e995571657392a16749ee635205687630ff24c04d651",
+    ("basis-check", "--n", "3", "--degree", "2"):
+        "243e27505f18756f6dd08000b101ac0737468267cd5d52b5f91333038ed47223",
+    ("compute-e", "--n", "2", "--alpha", "2,-1", RATIONAL):
+        "927ffcc4ddb257e0ac2872da6aaacf0befb92dc5469f4c545aff77262a474a24",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_SPECIALIZED_DIGESTS),
+                         ids=" ".join)
+def test_specialized_stdout_is_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        PINNED_SPECIALIZED_DIGESTS[argv]

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from koornwinder import weyl
-from koornwinder.domains import SpecializedDomain
+from koornwinder.domains import Assignment, SpecializedDomain
 from koornwinder.laurent import (LaurentRing, ExactDivisionError,
                                  apply_simple_reflection, apply_translation,
                                  exact_divide, unit_normalize)
@@ -331,3 +332,181 @@ def test_exact_divide_by_a_binomial(n, mode, request):
             with pytest.raises(ExactDivisionError):
                 exact_divide(f * g + ring.monomial(e), g)
             assert exact_divide(ring.zero(), g) == ring.zero()
+
+
+# -- the integer-numerator representation against plain Fraction dicts -------
+
+# q^(1/2) = -1/2, so q = 1/4: reflections and shifts by q scale by powers
+# of a non-integral rational
+RATIONAL_Q = SpecializedDomain(
+    Assignment.make(("-1/2", 3, "5/3", 7, 11, "-13")))
+representation_settings = settings(derandomize=True, deadline=None,
+                                   max_examples=60)
+_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def fraction_dicts(draw, n=None, min_size=0, max_size=5):
+    """(n, {exponent: nonzero Fraction}) with exponents in -2..2, so some
+    are negative."""
+    n = draw(st.integers(1, 3)) if n is None else n
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    terms = draw(st.dictionaries(exps, _fractions.filter(bool),
+                                 min_size=min_size, max_size=max_size))
+    return n, terms
+
+
+def _terms(f):
+    """f.terms, after checking the stored form: int numerators over a
+    positive int denominator coprime to their content."""
+    assert type(f.den) is int and f.den > 0
+    assert all(type(c) is int and c for c in f.num.values())
+    assert math.gcd(f.den, *f.num.values()) == 1
+    return f.terms
+
+
+def _poly(terms, n, domain=RATIONAL_Q):
+    f = LaurentRing(n, domain).from_terms(terms)
+    assert _terms(f) == terms
+    return f
+
+
+def _ref_sum(*dicts):
+    out = {}
+    for d in dicts:
+        for e, c in d.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@representation_settings
+@given(st.data())
+def test_arithmetic_matches_fraction_dicts(data):
+    n, a = data.draw(fraction_dicts())
+    _, b = data.draw(fraction_dicts(n))
+    c = data.draw(_fractions)
+    f, g = _poly(a, n), _poly(b, n)
+    assert _terms(f + g) == _ref_sum(a, b)
+    assert _terms(f - g) == _ref_sum(a, {e: -v for e, v in b.items()})
+    assert _terms(-f) == {e: -v for e, v in a.items()}
+    assert _terms(f.scale(c)) == {e: v * c for e, v in a.items() if v * c}
+    assert _terms(f * g) == _ref_product(a, b)
+    for e in a:
+        assert f.coefficient(e) == a[e]
+
+
+@representation_settings
+@given(fraction_dicts(), st.sampled_from([1, -1]))
+def test_actions_match_fraction_dicts(pair, sign):
+    n, a = pair
+    f = _poly(a, n)
+    q = RATIONAL_Q.q
+    assert q == Fraction(1, 4)
+    for i in range(n + 1):
+        if i == 0:
+            want = {(-e[0],) + e[1:]: c * q ** e[0] for e, c in a.items()}
+        elif i == n:
+            want = {e[:-1] + (-e[-1],): c for e, c in a.items()}
+        else:
+            want = {e[:i - 1] + (e[i], e[i - 1]) + e[i + 1:]: c
+                    for e, c in a.items()}
+        assert _terms(apply_simple_reflection(i, f)) == want
+    for i in range(1, n + 1):
+        want = {e: c * q ** (sign * e[i - 1]) for e, c in a.items()}
+        assert _terms(apply_translation(i, f, sign)) == want
+
+
+@representation_settings
+@given(st.data())
+def test_evaluate_matches_fraction_dicts(data):
+    n, a = data.draw(fraction_dicts())
+    point = data.draw(st.tuples(*[_fractions.filter(bool)] * n))
+    assert _poly(a, n).evaluate(point) == term_by_term(a, point)
+
+
+@representation_settings
+@given(st.data())
+def test_exact_divide_matches_fraction_dicts(data):
+    n, a = data.draw(fraction_dicts())
+    _, b = data.draw(fraction_dicts(n, min_size=1, max_size=2))
+    f, g = _poly(a, n), _poly(b, n)
+    if len(b) == 1:
+        (e, c), = b.items()
+        want = {tuple(x - y for x, y in zip(k, e)): v / c
+                for k, v in a.items()}
+        assert _terms(exact_divide(f, g)) == want
+    assert _terms(exact_divide(_poly(_ref_product(a, b), n), g)) == a
+
+
+@representation_settings
+@given(fraction_dicts(), st.integers(2, 30))
+def test_equality_is_rational_equality(pair, k):
+    n, a = pair
+    f = _poly(a, n)
+    ring = f.ring
+    # the same polynomial through other denominators: numerators scaled
+    # by k over a denominator k times larger, and a detour through a
+    # term over the denominator k
+    scaled = f.scale(Fraction(1, k)).scale(k)
+    detour = ring.monomial((0,) * n, Fraction(1, k))
+    assert scaled == f
+    assert (f + detour) - detour == f
+    assert ring.from_terms({e: c * k for e, c in a.items()}).scale(
+        Fraction(1, k)) == f
+    if a:
+        e = min(a)
+        bumped = dict(a)
+        bumped[e] += Fraction(1, k)
+        assert ring.from_terms(bumped) != f
+
+
+# -- exact division edge cases --------------------------------------------------
+
+def test_exact_divide_by_non_monic_integer_forms():
+    ring = LaurentRing(2, RATIONAL_Q)
+    x1, x2 = ring.gen(1), ring.gen(2)
+    two = ring.domain.from_int(2)
+    # 2 x - 2: the integer form has content 2
+    g = x1.scale(two) - ring.scalar(two)
+    f = x1 * x1 - ring.one()
+    assert exact_divide(f, g) == (x1 + ring.one()).scale(Fraction(1, 2))
+    # (1/3) x_1^2 - 5/7 has the primitive integer form 7 x_1^2 - 15
+    g = ring.from_terms({(2, 0): Fraction(1, 3), (0, 0): Fraction(-5, 7)})
+    assert (g.num, g.den) == ({(2, 0): 7, (0, 0): -15}, 21)
+    h = ring.from_terms({(1, -1): Fraction(2, 5), (-2, 0): -3, (0, 1): 1})
+    assert exact_divide(g * h, g) == h
+    assert exact_divide(g * h, g.scale(Fraction(-4, 9)) * x2) \
+        == h.scale(Fraction(-9, 4)) * ring.gen(2, -1)
+    # a dividend that does not divide: the remainder check, and a first
+    # quotient step that is not an integer
+    with pytest.raises(ExactDivisionError):
+        exact_divide(g * h + x2, g)
+    with pytest.raises(ExactDivisionError):
+        exact_divide(x1 * x1 * x1 - ring.one(), g)
+    # T_0's divisor x_1^2 - q at q = 1/4, in integer form 4 x_1^2 - 1
+    d = x1 * x1 - ring.scalar(ring.domain.q)
+    assert (d.num, d.den) == ({(2, 0): 4, (0, 0): -1}, 4)
+    assert exact_divide(x1 * x1 * x1 * x1 - ring.scalar(ring.domain.q ** 2),
+                        d) == x1 * x1 + ring.scalar(ring.domain.q)
+
+
+def test_one_term_int_divisor_never_gives_a_float(ring):
+    x1 = ring.gen(1)
+    f = x1 + ring.monomial((0, -1), Fraction(5, 3))
+    for c in (2, -3, Fraction(7, 2)):
+        g = ring.from_terms({(1, 1): c})
+        h = exact_divide(f, g)
+        assert all(type(v) is Fraction for v in h.terms.values())
+        assert all(type(v) is int for v in h.num.values())
+        assert h * g == f
+        assert h.terms == {(0, -1): Fraction(1) / c,
+                           (-1, -2): Fraction(5, 3) / c}

@@ -7,7 +7,7 @@ import pytest
 from koornwinder import paramfield, polynomials, weyl
 from koornwinder.domains import Assignment, SpecializedDomain, SymbolicDomain
 from koornwinder.intertwine import spectral_intertwiner
-from koornwinder.noumi import monomial_exponents
+from koornwinder.noumi import check_daha_relations, monomial_exponents
 from koornwinder.oracle import matrix_rank
 from koornwinder.polynomials import (KoornwinderFamily,
                                      NonGenericParametersError)
@@ -324,6 +324,23 @@ def test_specialized_chain_states_live_in_the_domain(specialized):
     assert specialized.raw_domain is specialized
     assert family.raw_rep is family.rep
     assert family.raw_eigenvector((1, -1)) is family._chain_state((1, -1))
+
+
+# a rational and negative q^(1/2), so q = 1/4 is not an integer and the
+# T_0 denominator x_1^2 - q has an integer form that is not monic
+RATIONAL = Assignment.make(("-1/2", 3, "5/3", 7, 11, "-13"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rational_assignment_passes_relations_and_y_checks(n):
+    domain = SpecializedDomain(RATIONAL)
+    assert all(r["status"] == "pass"
+               for r in check_daha_relations(n, 2, domain))
+    family = KoornwinderFamily(n, domain)
+    for alpha in monomial_exponents(n, 2):
+        labeled = family.nonsymmetric(alpha)
+        assert labeled.poly.coefficient(alpha) == 1
+        assert family.verify_spectrum(labeled)
 
 
 def test_basis_check_refuses_a_negative_degree(fam2):
