@@ -20,10 +20,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import getitem, index
+from operator import index
 
 from . import paramfield
-from .paramfield import FieldElement, LaurentScalar, _lcm, _mul
+from .paramfield import FieldElement, LaurentScalar, _evaluate, _lcm, _mul
 
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -132,8 +132,13 @@ class _BaseDomain:
     def split(self, c):
         """A scalar as the (numerator, denominator) pair that a Laurent
         polynomial stores: here (c, 1), so polynomials keep their scalar
-        coefficients over denominator 1."""
-        return c, 1
+        coefficients over denominator 1.  An int, or a Fraction where the
+        scalars take one, is converted first; anything else that is not
+        a scalar of the domain raises TypeError."""
+        x = self.one._coerce(c)
+        if x is None:
+            raise TypeError("not a scalar of this domain: %r" % (c,))
+        return x, 1
 
     def join(self, c, den):
         """The scalar c / den, for den as split returns it."""
@@ -251,50 +256,17 @@ class SpecializedDomain(_BaseDomain):
         return Fraction(math.lcm(*(v.denominator for v in values)))
 
     def split(self, c):
-        """(numerator, denominator) of a Fraction or an int."""
+        """(numerator, denominator) of a Fraction or an int; anything else
+        raises TypeError."""
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("not a scalar of this domain: %r" % (c,))
         return c.numerator, c.denominator
 
     def join(self, c, den):
         return Fraction(c, den)
 
-    def evaluate_terms(self, num, den, point):
-        """sum_e c_e x^e / den over one common denominator, reduced to
-        lowest terms once per call rather than once per arithmetic
-        operation.
-
-        Write x_i = a_i / b_i in lowest terms (b_i > 0) and let l_i, h_i be
-        the least and largest exponent of x_i over the terms.  Then
-        x_i^e_i = a_i^(e_i - l_i) b_i^(h_i - e_i) * a_i^l_i / b_i^h_i, where
-        both exponents of the first factor lie in 0..h_i - l_i.  So
-            sum_e c_e x^e / den = S * prod_i a_i^l_i / b_i^h_i / den,
-            S = sum_e c_e prod_i a_i^(e_i - l_i) b_i^(h_i - e_i),
-        an integer summed from one table of a^j b^(h - l - j) per
-        variable.  One Fraction is built at the end.
-        """
-        if not num:
-            return self.zero
-        scale = 1
-        tables = []
-        for x, column in zip(point, zip(*num)):
-            a, b = x.numerator, x.denominator
-            low, high = min(column), max(column)
-            if low >= 0:
-                scale *= a ** low
-            else:
-                den *= a ** -low
-            if high >= 0:
-                den *= b ** high
-            else:
-                scale *= b ** -high
-            width = high - low
-            row = [a ** j for j in range(width + 1)]
-            if b != 1:
-                row = [v * b ** (width - j) for j, v in enumerate(row)]
-            tables.append({low + j: v for j, v in enumerate(row)})
-        total = 0
-        for e, c in num.items():
-            total += c * math.prod(map(getitem, tables, e))
-        return Fraction(total * scale, den)
+    #: sum_e c_e x^e / den over one common denominator
+    evaluate_terms = staticmethod(_evaluate)
 
     def star_domain(self):
         return SpecializedDomain(self.assignment.star())

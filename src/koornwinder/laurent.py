@@ -11,8 +11,14 @@ gcd over all its numerators instead of one gcd per coefficient.  The
 domain's split and join hooks convert between its scalars and
 (numerator, denominator) pairs; a symbolic domain splits c into (c, 1),
 so its polynomials keep their scalar coefficients over den 1 and run
-the same code.  ``terms`` is a fresh dict of domain scalars, for
-readers.  The module also provides the exponential map for affine
+the same code.  split also takes an int, and the symbolic domain's a
+Fraction, and raises TypeError on anything else that is not a scalar of
+the domain, so a polynomial stores only the numerators its domain makes.
+``terms`` is a fresh dict of domain scalars, for readers.  Sums,
+differences and products put both numerator dicts over the lcm of the
+denominators and run paramfield's term-dictionary kernels: a product is
+the _merged sum of the larger operand shifted and scaled by each term of
+the smaller.  The module also provides the exponential map for affine
 exponents, the action of the affine simple reflections and q-shifts on
 polynomials, exact division, and evaluation at points with nonzero
 coordinates.
@@ -35,10 +41,11 @@ not divide F.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd, lcm
 from operator import add, index, sub
 
-from .paramfield import _power
+from .paramfield import _add, _merged, _neg, _power, _sub
 
 
 class ExactDivisionError(ArithmeticError):
@@ -119,6 +126,11 @@ class LaurentRing:
         return parts
 
 
+def _times(num, m):
+    """The numerators num, each multiplied by m; num itself if m is 1."""
+    return num if m == 1 else {e: c * m for e, c in num.items()}
+
+
 def _reduced(ring, num, den):
     """The polynomial num / den with den and the content made coprime."""
     if den != 1:
@@ -150,90 +162,52 @@ class LaurentPolynomial:
         if self.ring.n != other.ring.n:
             raise ValueError("polynomials from rings of different rank")
 
-    def _common(self, other):
-        """(den, m1, m2): a common denominator and the multipliers of the
-        two numerator dicts, 1 where a dict already stands over it."""
-        d1, d2 = self.den, other.den
+    def _combined(self, other, kernel):
+        """kernel(a, b), paramfield's _add or _sub, of the numerators of
+        self and other over the lcm of their denominators."""
+        if not isinstance(other, LaurentPolynomial):
+            return NotImplemented
+        self._check(other)
+        a, b, d1, d2 = self.num, other.num, self.den, other.den
         if d1 == d2:
-            return d1, 1, 1
+            return _reduced(self.ring, kernel(a, b), d1)
         den = lcm(d1, d2)
-        return den, den // d1, den // d2
+        return _reduced(self.ring, kernel(_times(a, den // d1),
+                                          _times(b, den // d2)), den)
 
     def __add__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        self._check(other)
-        den, m1, m2 = self._common(other)
-        out = dict(self.num) if m1 == 1 else {e: c * m1 for e, c in self.num.items()}
-        for e, c in other.num.items():
-            if m2 != 1:
-                c = c * m2
-            cur = out.get(e)
-            s = c if cur is None else cur + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _reduced(self.ring, out, den)
-
-    def __neg__(self):
-        return LaurentPolynomial(self.ring, {e: -c for e, c in self.num.items()},
-                                 self.den)
+        return self._combined(other, _add)
 
     def __sub__(self, other):
-        if not isinstance(other, LaurentPolynomial):
-            return NotImplemented
-        self._check(other)
-        den, m1, m2 = self._common(other)
-        out = dict(self.num) if m1 == 1 else {e: c * m1 for e, c in self.num.items()}
-        for e, c in other.num.items():
-            if m2 != 1:
-                c = c * m2
-            cur = out.get(e)
-            s = -c if cur is None else cur - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _reduced(self.ring, out, den)
+        return self._combined(other, _sub)
+
+    def __neg__(self):
+        return LaurentPolynomial(self.ring, _neg(self.num), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, LaurentPolynomial):
-            self._check(other)
-            a, b = self.num, other.num
-            if len(a) > len(b):
-                a, b = b, a
-            den = self.den * other.den
-            if len(a) == 1:
-                # a monomial: a shift plus a scale, and no two products meet
-                (e1, c1), = a.items()
-                return _reduced(self.ring, {tuple(map(add, e1, e2)): c1 * c2
-                                            for e2, c2 in b.items()}, den)
-            out = {}
-            for e1, c1 in a.items():
-                for e2, c2 in b.items():
-                    e = tuple(x + y for x, y in zip(e1, e2))
-                    cur = out.get(e)
-                    s = c1 * c2 if cur is None else cur + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return _reduced(self.ring, out, den)
-        return self.scale(other)
+        """The product: the sum, by paramfield's _merged, of the larger
+        operand shifted and scaled by each term of the smaller."""
+        if not isinstance(other, LaurentPolynomial):
+            return self.scale(other)
+        self._check(other)
+        a, b = self.num, other.num
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
+            return self.ring.zero()
+        shifted = ({tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+                   for e1, c1 in a.items())
+        return _reduced(self.ring, reduce(_merged, shifted),
+                        self.den * other.den)
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, c):
-        dom = self.ring.domain
-        if isinstance(c, int):
-            c = dom.from_int(c)
-        c, d = dom.split(c)
+        c, d = self.ring.domain.split(c)
         if not c:
             return self.ring.zero()
-        return _reduced(self.ring, {e: v * c for e, v in self.num.items()},
-                        self.den * d)
+        return _reduced(self.ring, _times(self.num, c), self.den * d)
 
     def __pow__(self, k):
         k = index(k)
@@ -454,9 +428,7 @@ def _divide_binomial(f, g):
                 carry = carry + c if carry else c
         if carry:
             raise ExactDivisionError("nonzero remainder in exact division")
-    if g.den != 1:
-        quot = {e: h * g.den for e, h in quot.items()}
-    return _reduced(ring, quot, f.den * content)
+    return _reduced(ring, _times(quot, g.den), f.den * content)
 
 
 def _int_divider(ca):

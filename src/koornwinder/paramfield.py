@@ -5,10 +5,16 @@ of the parameters (q, t, t0, tn, u0, un).  Exponents of the square roots
 are stored doubled so that everything stays in plain integer arithmetic:
 the stored monomial (1, 0, 0, 0, 0, 0) is q**(1/2) and (2, 0, 0, 0, 0, 0)
 is q itself.  num and den are plain dictionaries from exponent tuples to
-nonzero ints, and one set of private kernels (_add, _sub, _neg, _mul)
-does the sparse arithmetic of both FieldElement and LaurentScalar.  The
+nonzero ints, and one set of private kernels (_merged, _add, _sub, _neg,
+_mul) does the sparse arithmetic of both FieldElement and LaurentScalar.
+laurent's sums, differences and products go through the same _merged,
+_add, _sub and _neg, with coefficients that may also be FieldElements or
+LaurentScalars, so _merged never adds a coefficient to the int 0.  The
 kernels never mutate their operands and may return one of them, so term
-dictionaries are shared between elements and never mutated.
+dictionaries are shared between elements and never mutated.  One
+evaluator, _evaluate, sums a dictionary of int coefficients at a
+rational point over one common denominator: specialize calls it, and so
+does SpecializedDomain.evaluate_terms.
 
 Canonical form: no zero coefficients, the integer content and the common
 monomial factor of num and den removed (every exponent nonnegative, with
@@ -35,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import index, sub
+from operator import getitem, index, sub
 
 PARAM_NAMES = ("q", "t", "t0", "tn", "u0", "un")
 
@@ -54,11 +60,18 @@ class UnluckySpecializationError(ArithmeticError):
 # ---------------------------------------------------------------------------
 # the term-dictionary kernels
 
-def _merged(out, terms):
-    """out, a dictionary the caller owns, plus terms."""
+def _merged(out, terms, sign=1):
+    """out, a dictionary the caller owns, plus terms, or minus terms when
+    sign is -1.  A key missing from out takes c or -c as it is, so no
+    coefficient is ever added to the int 0: the coefficients may be ints,
+    FieldElements or LaurentScalars."""
     get = out.get
     for e, c in terms.items():
-        s = get(e, 0) + c
+        s = get(e)
+        if s is None:
+            out[e] = c if sign > 0 else -c
+            continue
+        s = s + c if sign > 0 else s - c
         if s:
             out[e] = s
         else:
@@ -77,8 +90,7 @@ def _neg(a):
 
 
 def _sub(a, b):
-    b = _neg(b)
-    return _merged(b, a) if len(b) >= len(a) else _merged(dict(a), b)
+    return _merged(dict(a), b, -1)
 
 
 def _mul(a, b):
@@ -384,11 +396,11 @@ class FieldElement:
             raise ValueError("expected 6 square-root values")
         if any(v == 0 for v in vals):
             raise ValueError("square-root values must be nonzero")
-        dv = _eval_poly(self.den, vals)
+        dv = _evaluate(self.den, 1, vals)
         if dv == 0:
             raise UnluckySpecializationError(
                 "denominator vanishes at this assignment")
-        return _eval_poly(self.num, vals) / dv
+        return _evaluate(self.num, 1, vals) / dv
 
     # -- canonicalization / serialization --------------------------------
 
@@ -536,15 +548,45 @@ def _power(base, k, one):
         base = base * base
 
 
-def _eval_poly(p, vals):
-    total = Fraction(0)
-    for e, c in p.items():
-        v = Fraction(c)
-        for base, k in zip(vals, e):
-            if k:
-                v *= base ** k
-        total += v
-    return total
+def _evaluate(num, den, point):
+    """sum_e c_e x^e / den for int numerators {e: c_e} and an int den, at
+    a point of rationals with nonzero coordinates, over one common
+    denominator: reduced to lowest terms once per call rather than once
+    per arithmetic operation.
+
+    Write x_i = a_i / b_i in lowest terms (b_i > 0) and let l_i, h_i be
+    the least and largest exponent of x_i over the terms.  Then
+    x_i^e_i = a_i^(e_i - l_i) b_i^(h_i - e_i) * a_i^l_i / b_i^h_i, where
+    both exponents of the first factor lie in 0..h_i - l_i.  So
+        sum_e c_e x^e / den = S * prod_i a_i^l_i / b_i^h_i / den,
+        S = sum_e c_e prod_i a_i^(e_i - l_i) b_i^(h_i - e_i),
+    an integer summed from one table of a^j b^(h - l - j) per variable.
+    One Fraction is built at the end.
+    """
+    if not num:
+        return Fraction(0)
+    scale = 1
+    tables = []
+    for x, column in zip(point, zip(*num)):
+        a, b = x.numerator, x.denominator
+        low, high = min(column), max(column)
+        if low >= 0:
+            scale *= a ** low
+        else:
+            den *= a ** -low
+        if high >= 0:
+            den *= b ** high
+        else:
+            scale *= b ** -high
+        width = high - low
+        row = [a ** j for j in range(width + 1)]
+        if b != 1:
+            row = [v * b ** (width - j) for j, v in enumerate(row)]
+        tables.append({low + j: v for j, v in enumerate(row)})
+    total = 0
+    for e, c in num.items():
+        total += c * math.prod(map(getitem, tables, e))
+    return Fraction(total * scale, den)
 
 
 def _poly_str(p):

@@ -129,12 +129,24 @@ def test_specialize_stdin_value(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["value"] == "91"
 
 
+# an element with a negative exponent and a two-term denominator; its
+# value at the rational assignment was recorded while FieldElement.specialize
+# and the specialized Laurent evaluation were still separate code
+PINNED_ELEMENT = ('{"num":[["3",[2,-1,0,0,0,1]],["-5",[0,0,3,0,0,0]]],'
+                  '"den":[["7",[0,2,0,0,-1,0]],["1",[1,0,0,0,0,0]]]}')
+RATIONAL = "--assignment=-1/2,3,5/3,7,11,-13"
+
+
 @pytest.mark.parametrize("flags, expected", [
     ((), '{"assignment":["2","3","5","7","11","13"],"value":"4/9"}\n'),
     (("--text",), "4/9\n"),
+    ((RATIONAL,), '{"assignment":["-1/2","3","5/3","7","11","-13"],'
+                  '"value":"-31361/6210"}\n'),
 ])
 def test_specialize_reads_stdin(capsys, monkeypatch, flags, expected):
+    # the rational assignment reads PINNED_ELEMENT, the others q/t
     monkeypatch.setattr("sys.stdin", io.StringIO(
+        PINNED_ELEMENT if RATIONAL in flags else
         '{"num":[["1",[2,0,0,0,0,0]]],"den":[["1",[0,2,0,0,0,0]]]}'))
     code, out, err = run_cli(capsys, "specialize",
                              "--assignment", "2,3,5,7,11,13", *flags)
@@ -586,7 +598,6 @@ def test_gcd_reduced_stdout_is_pinned(capsys, argv):
 # sha256 of the stdout of specialized commands, recorded while specialized
 # polynomials still stored one Fraction per coefficient; the last command's
 # assignment has a rational and negative q^(1/2) and t0^(1/2).
-RATIONAL = "--assignment=-1/2,3,5/3,7,11,-13"
 PINNED_SPECIALIZED_DIGESTS = {
     ("compute-e", "--n", "3", "--alpha", "2,-1,0"):
         "1a26973061f5e6da6ceffc8043bc0555ec32786e5211014bebc5770bfcb344bd",

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from koornwinder import weyl
-from koornwinder.domains import Assignment, SpecializedDomain
+from koornwinder.domains import (Assignment, LaurentScalarDomain,
+                                 SpecializedDomain, SymbolicDomain)
 from koornwinder.laurent import (LaurentRing, ExactDivisionError,
                                  apply_simple_reflection, apply_translation,
                                  exact_divide, unit_normalize)
+from koornwinder.paramfield import FieldElement, LaurentScalar
 
 from conftest import random_laurent
 
@@ -510,3 +512,125 @@ def test_one_term_int_divisor_never_gives_a_float(ring):
         assert h * g == f
         assert h.terms == {(0, -1): Fraction(1) / c,
                            (-1, -2): Fraction(5, 3) / c}
+
+
+# -- scalars enter a polynomial through the domain's split ------------------------
+
+DOMAINS = {"symbolic": SymbolicDomain(), "raw": LaurentScalarDomain(),
+           "specialized": SpecializedDomain()}
+
+
+@pytest.mark.parametrize("name", sorted(DOMAINS))
+def test_int_scalars_become_domain_scalars(name):
+    domain = DOMAINS[name]
+    ring = LaurentRing(2, domain)
+    k = domain.from_int
+    e = (1, -1)
+    for f, want in [
+            (ring.monomial(e, 2), ring.monomial(e, k(2))),
+            (ring.scalar(-3), ring.scalar(k(-3))),
+            (ring.from_terms({e: 2, (0, 0): -1}),
+             ring.from_terms({e: k(2), (0, 0): k(-1)})),
+            (ring.gen(1).scale(5), ring.gen(1).scale(k(5))),
+            (5 * ring.gen(1), ring.gen(1).scale(k(5)))]:
+        assert f.terms == want.terms
+        assert {type(c) for c in f.terms.values()} == {type(domain.one)}
+        assert type(f.coefficient((0, 0))) is type(domain.one)
+        if name != "raw":   # the raw domain's scalars have no JSON form
+            assert f.to_json() == want.to_json()
+
+
+def test_fraction_scalars_in_the_symbolic_ring():
+    ring = LaurentRing(1, DOMAINS["symbolic"])
+    c = Fraction(-2, 3)
+    want = ring.monomial((1,), FieldElement.from_fraction(c))
+    for f in (ring.monomial((1,), c), ring.from_terms({(1,): c}),
+              ring.gen(1).scale(c)):
+        assert f.terms == want.terms
+        assert type(f.terms[(1,)]) is FieldElement
+        assert f.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("name, c", [
+    ("raw", Fraction(1, 2)), ("raw", 0.5), ("symbolic", 0.5),
+    ("specialized", 0.5), ("specialized", "1/2")])
+def test_other_scalars_are_refused(name, c):
+    ring = LaurentRing(1, DOMAINS[name])
+    for build in (lambda: ring.monomial((1,), c),
+                  lambda: ring.from_terms({(1,): c}),
+                  lambda: ring.gen(1).scale(c)):
+        with pytest.raises(TypeError):
+            build()
+
+
+# -- symbolic arithmetic against plain dicts of ring scalars ----------------------
+
+def _scalar_pool(domain):
+    """A few scalars of the domain and their negatives, so that drawn
+    coefficients both collide and cancel."""
+    d = domain
+    base = [d.one, d.q_sqrt, d.t - d.from_int(2), d.a * d.s - d.u0_sqrt ** -1,
+            d.c_eps]
+    if d is DOMAINS["symbolic"]:
+        base.append(d.tn_sqrt / (d.one - d.q))
+    return base + [-x for x in base]
+
+
+POOLS = {name: _scalar_pool(DOMAINS[name]) for name in ("symbolic", "raw")}
+
+
+@st.composite
+def scalar_dicts(draw, name, n):
+    exps = st.tuples(*[st.integers(-1, 1)] * n)
+    return draw(st.dictionaries(exps, st.sampled_from(POOLS[name]),
+                                max_size=4))
+
+
+def _scalar_terms(f):
+    """f.terms, after checking the stored form: nonzero domain scalars
+    over the denominator 1."""
+    one = f.ring.domain.one
+    assert f.den == 1
+    assert all(type(c) is type(one) and c for c in f.num.values())
+    return f.terms
+
+
+@representation_settings
+@given(st.data(), st.sampled_from(["symbolic", "raw"]), st.integers(1, 2))
+def test_symbolic_arithmetic_matches_dicts(data, name, n):
+    a = data.draw(scalar_dicts(name, n))
+    b = data.draw(scalar_dicts(name, n))
+    ring = LaurentRing(n, DOMAINS[name])
+    f, g = ring.from_terms(a), ring.from_terms(b)
+    assert _scalar_terms(f) == a
+    assert _scalar_terms(f + g) == _ref_sum(a, b)
+    assert _scalar_terms(f - g) == _ref_sum(a, {e: -v for e, v in b.items()})
+    assert _scalar_terms(-f) == {e: -v for e, v in a.items()}
+    assert _scalar_terms(f * g) == _ref_product(a, b)
+    assert _scalar_terms(f - f) == {}
+
+
+@pytest.mark.parametrize("name", ["symbolic", "raw"])
+def test_sums_never_add_a_ring_coefficient_to_zero(name, monkeypatch):
+    d = DOMAINS[name]
+    ring = LaurentRing(2, d)
+    f = ring.from_terms({(1, 0): d.q_sqrt, (0, 1): d.t_sqrt, (0, 0): d.one})
+    cases = []
+    for terms in ({(-1, 0): d.t_sqrt, (2, 2): d.q_sqrt + d.t},   # disjoint
+                  {(1, 0): d.t_sqrt, (0, 1): -d.t_sqrt,        # overlapping
+                   (-1, 1): d.a}):
+        g = ring.from_terms(terms)
+        cases.append((g, _ref_sum(f.terms, terms),
+                      _ref_sum(f.terms, {e: -c for e, c in terms.items()}),
+                      _ref_product(f.terms, terms)))
+
+    def refuse(self, other):
+        raise AssertionError("a ring coefficient was added to %r" % (other,))
+
+    monkeypatch.setattr(FieldElement, "__radd__", refuse)
+    monkeypatch.setattr(LaurentScalar, "__radd__", refuse)
+    for g, total, difference, product in cases:
+        assert (f + g).terms == (g + f).terms == total
+        assert (f - g).terms == difference
+        assert (-(g - f)).terms == difference
+        assert (f * g).terms == (g * f).terms == product

@@ -1,17 +1,22 @@
 """Property tests for the coefficient field: ring axioms, the three
 involutions and specialization as ring homomorphisms, the canonical
-form as a fixed point of the constructor, and the Laurent scalars of the
-raw chain states against the field."""
+form as a fixed point of the constructor, the Laurent scalars of the
+raw chain states against the field, and specialize against an evaluation
+in Fractions."""
 
 import math
+import random
 from fractions import Fraction
 
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from koornwinder import paramfield as pf
 from koornwinder.domains import SymbolicDomain
 from koornwinder.paramfield import (FieldElement, LaurentScalar,
                                     UnluckySpecializationError)
+
+from conftest import random_field_element
 
 # deterministic examples, so that the suite passes or fails the same way
 # on every run
@@ -142,3 +147,41 @@ def test_arithmetic_never_mutates_its_operands(x, y, r, s):
 def test_laurent_units_invert_as_in_the_field(u, x, k):
     assert (u ** k).to_field() == u.to_field() ** k
     assert (x / u).to_field() == x.to_field() / u.to_field()
+
+
+# -- specialize against an evaluation written out in Fractions ------------------
+
+def fraction_value(terms, vals):
+    """sum_e c_e prod_i vals_i ** e_i, one Fraction operation at a time."""
+    total = Fraction(0)
+    for e, c in terms.items():
+        v = Fraction(c)
+        for base, k in zip(vals, e):
+            v *= Fraction(base) ** k
+        total += v
+    return total
+
+
+@field_settings
+@example(random.Random(0), [Fraction(-1, 2), 3, Fraction(5, 3), 7, 11, -13])
+@given(st.randoms(use_true_random=False), sqrt_values)
+def test_specialize_matches_fraction_evaluation(rng, vals):
+    x = random_field_element(rng)
+    den = fraction_value(x.den, vals)
+    if den == 0:
+        with pytest.raises(UnluckySpecializationError):
+            x.specialize(vals)
+    else:
+        assert x.specialize(vals) == fraction_value(x.num, vals) / den
+
+
+@field_settings
+@given(st.randoms(use_true_random=False), sqrt_values)
+def test_specialize_refuses_a_vanishing_denominator(rng, vals):
+    x = random_field_element(rng)
+    # x over q^(1/2) - t^(1/2), which vanishes where q^(1/2) = t^(1/2)
+    bad = FieldElement(x.num, pf._mul(x.den, (pf.SQRT_Q - pf.SQRT_T).num))
+    vals[1] = vals[0]
+    assert fraction_value(bad.den, vals) == 0
+    with pytest.raises(UnluckySpecializationError):
+        bad.specialize(vals)
