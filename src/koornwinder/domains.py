@@ -147,8 +147,11 @@ class _BaseDomain:
     def evaluate_terms(self, num, den, point):
         """sum_e c_e x^e over the numerators {e: c_e} at a point with
         nonzero coordinates, term by term; den is 1 (see split).  Each
-        power of a coordinate is computed once per call."""
+        power of a coordinate is computed once per call; an int
+        coordinate is made a Fraction first, so that its negative powers
+        stay exact."""
         total = self.zero
+        point = [Fraction(x) if isinstance(x, int) else x for x in point]
         pows = [{} for _ in point]
         for e, c in num.items():
             v = c
@@ -204,6 +207,14 @@ class SymbolicDomain(_BaseDomain):
 
     def from_raw(self, v):
         return v.to_field()
+
+    def parts(self, c):
+        """c as a (numerator, denominator) pair of LaurentScalars, Laurent
+        polynomials in the six square roots, whose + and * never run a
+        gcd (NoumiRepresentation.d_eigen_holds computes with them).  The
+        term dictionaries are shared, not copied: FieldElement and
+        LaurentScalar never mutate one (see paramfield)."""
+        return LaurentScalar(c.num), LaurentScalar(c.den)
 
     def product_equals(self, a, b, c):
         """Whether a * b == c, by one cross multiplication of numerators
@@ -264,6 +275,10 @@ class SpecializedDomain(_BaseDomain):
 
     def join(self, c, den):
         return Fraction(c, den)
+
+    #: c as a (numerator, denominator) pair of ints, whose + and * never
+    #: run a gcd (NoumiRepresentation.d_eigen_holds computes with them)
+    parts = split
 
     #: sum_e c_e x^e / den over one common denominator
     evaluate_terms = staticmethod(_evaluate)

@@ -28,6 +28,22 @@ def character_value(word, domain, n):
     return v
 
 
+def _pair_product(pairs):
+    """The product of (numerator, denominator) pairs, as one pair."""
+    n, d = pairs[0]
+    for a, b in pairs[1:]:
+        n, d = n * a, d * b
+    return n, d
+
+
+def _pair_sum(u, v):
+    """u + v for (numerator, denominator) pairs, by cross multiplication."""
+    (a, b), (c, d) = u, v
+    if b == d:
+        return a + c, b
+    return a * d + c * b, b * d
+
+
 class NoumiRepresentation:
     """Operators of the representation on a fixed Laurent ring."""
 
@@ -316,6 +332,27 @@ class NoumiRepresentation:
         f and its 2n q-shifts (built once, by apply_translation) are
         evaluated as polynomials.  The equation is linear in f, so it is
         checked on f with its coefficient denominators cleared.
+
+        The arithmetic is fraction-free.  Every value is a pair (N, D)
+        standing for N / D, with N and D in the ring of domain.parts
+        (the integers, or the Laurent polynomials in the six square
+        roots), whose + and * never take a gcd: pairs multiply as
+        (a c, b d) and add by cross multiplication, (a d + c b, b d), or
+        (a + c, b) when the denominators are equal.  With y = r / s,
+        r and s the ints (x, 1) or (1, x), and p = p_n / p_d for each
+        parameter, every factor is a pair of ring elements:
+        1 - p y = (p_d s - p_n r) / (p_d s),
+        1 - q y^2 = (q_d s^2 - q_n r^2) / (q_d s^2),
+        1 - t y x_j^+-1 = (t_d s - t_n r x_j) / (t_d s) and
+        (t_d s x_j - t_n r) / (t_d s x_j), and the parameter-free
+        divisor is the int pair built from s^2 - r^2, s - r x_j and
+        s x_j - r over s^2, s and s x_j.  Every denominator is a product
+        of nonzero factors: parameter denominators, the evaluated
+        denominators of f and its shifts, powers of s and of the
+        coordinates, and the values of the parameter-free factors, all
+        nonzero by the above.  The ring is an integral domain, so the
+        final denominator is nonzero, and Q R = 0 at the point exactly
+        when the final numerator is zero.
         """
         dom, n = self.domain, self.n
         if any(apply_simple_reflection(i, f) != f for i in range(1, n + 1)):
@@ -327,28 +364,34 @@ class NoumiRepresentation:
         shifted = [apply_translation(i, f, d)
                    for i in range(1, n + 1) for d in (1, -1)]
         degree = max(abs(k) for e in f.num for k in e)
+        parts = dom.parts
+        abcd = [parts(p) for p in (dom.a, dom.b, dom.c, dom.d)]
+        tn, td = parts(dom.t)
+        qn, qd = parts(dom.q)
+        minus_e = parts(-eigenvalue)
         for point in itertools.combinations(self._grid_pool(degree), n):
-            fx = f.evaluate(point)
-            # y = x_i^+-1 in the order of shifted, and the factors of Q
-            ys = [x ** d for x in point for d in (1, -1)]
-            qs = [dom.one - dom.q * (y * y) for y in ys]
-            total = -eigenvalue
-            for v in qs + [fx]:
-                total = total * v
-            for k, (y, g) in enumerate(zip(ys, shifted)):
-                others = point[:k // 2] + point[k // 2 + 1:]
-                num = dom.one
-                for v in ([dom.one - p * y
-                           for p in (dom.a, dom.b, dom.c, dom.d)]
-                          + [dom.one - dom.t * (y * x ** e)
-                             for x in others for e in (1, -1)]
-                          + qs[:k] + qs[k + 1:]):
-                    num = num * v
-                free = 1 - y * y
+            xs = [x.numerator for x in point]
+            fn, fd = parts(f.evaluate(point))
+            # y = x_i^+-1 = r / s in the order of shifted, and the
+            # factors of Q
+            ys = [(x, 1) if d > 0 else (1, x) for x in xs for d in (1, -1)]
+            qs = [(qd * (s * s) - qn * (r * r), qd * (s * s)) for r, s in ys]
+            total = _pair_product(qs + [minus_e, (fn, fd)])
+            for k, ((r, s), g) in enumerate(zip(ys, shifted)):
+                others = xs[:k // 2] + xs[k // 2 + 1:]
+                factors = [(pd * s - pn * r, pd * s) for pn, pd in abcd]
+                free_n, free_d = s * s - r * r, s * s
                 for x in others:
-                    free = free * (1 - y * x) * (1 - y / x)
-                total = total + num / free * (g.evaluate(point) - fx)
-            if total:
+                    factors.append((td * s - tn * (r * x), td * s))
+                    factors.append((td * (s * x) - tn * r, td * (s * x)))
+                    free_n *= (s - r * x) * (s * x - r)
+                    free_d *= s * (s * x)
+                gn, gd = parts(g.evaluate(point))
+                factors += qs[:k] + qs[k + 1:]
+                # divided by the parameter-free factors, times g - f
+                factors += [(free_d, free_n), _pair_sum((gn, gd), (-fn, fd))]
+                total = _pair_sum(total, _pair_product(factors))
+            if total[0]:
                 return False
         return True
 

@@ -166,8 +166,12 @@ class KoornwinderFamily:
         labeled polynomial is then confirmed to be its monic multiple:
         c * lead == r at every exponent, with c, r the labeled and raw
         coefficients and lead the raw one at x^alpha, and the same
-        support.  domain.product_equals decides each equation without
-        normalizing a product.
+        support.  It is decided on the stored numerators: with
+        c = c_n / d_L over the labeled denominator and lead = l_n / d_R,
+        r = r_n / d_R over the raw one, c * lead == r exactly when
+        c_n * l_n == r_n * d_L (d_L is 1 in symbolic mode).
+        domain.product_equals decides each equation without normalizing
+        a product.
         """
         alpha = labeled.label
         spec = weyl.spectral_vector(alpha, self.raw_rep.domain)
@@ -178,14 +182,14 @@ class KoornwinderFamily:
         for i in range(1, self.n + 1):
             if self.raw_rep.y(i, raw) != raw * spec[i - 1]:
                 return False
-        lead = raw.coefficient(alpha)
-        if not lead or labeled.poly.num.keys() != raw.num.keys():
+        lead = raw.num.get(alpha)
+        poly = labeled.poly
+        if lead is None or poly.num.keys() != raw.num.keys():
             return False
-        lead = from_raw(lead)
+        lead, den, raw_num = from_raw(lead), poly.den, raw.num
         same = self.domain.product_equals
-        raw_terms = raw.terms
-        return all(same(c, lead, from_raw(raw_terms[e]))
-                   for e, c in labeled.poly.terms.items())
+        return all(same(c, lead, from_raw(raw_num[e] * den))
+                   for e, c in poly.num.items())
 
     # -- symmetric family ----------------------------------------------------
 

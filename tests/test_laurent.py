@@ -211,6 +211,22 @@ def test_specialized_evaluate_matches_term_by_term(specialized, n, low, high):
         zero.evaluate(points[0][1:])
 
 
+@pytest.mark.parametrize("point", [(2, -3), (Fraction(2), Fraction(-3)),
+                                   (Fraction(-3, 2), 5)],
+                         ids=["int", "fraction", "mixed"])
+def test_both_modes_evaluate_negative_powers_alike(point):
+    # the symbolic domain sums term by term and the specialized one over
+    # one common denominator; an int coordinate to a negative power must
+    # stay exact in both
+    terms = {(-1, 0): 3, (0, -2): -5, (-2, 1): 7, (1, 1): 1, (0, 0): -2}
+    sym = LaurentRing(2, SymbolicDomain()).from_terms(terms).evaluate(point)
+    spec = LaurentRing(2, SpecializedDomain()).from_terms(terms).evaluate(
+        point)
+    assert type(spec) is Fraction and type(sym) is FieldElement
+    assert spec == term_by_term(terms, point)
+    assert sym == FieldElement.from_fraction(spec)
+
+
 def test_json_and_text(ring):
     f = ring.gen(1) + ring.monomial((0, -2), ring.domain.from_int(-3))
     blob = f.to_json()

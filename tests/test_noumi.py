@@ -12,9 +12,10 @@ from koornwinder.laurent import (LaurentPolynomial, LaurentRing,
 from koornwinder.noumi import (NoumiRepresentation, character_value,
                                check_daha_relations, monomial_exponents)
 from koornwinder.domains import Assignment, SpecializedDomain
+from koornwinder.paramfield import FieldElement, LaurentScalar
 from koornwinder.polynomials import KoornwinderFamily
 
-from conftest import random_laurent
+from conftest import random_field_element, random_laurent
 
 
 @pytest.fixture(scope="module")
@@ -394,9 +395,51 @@ def _true_eigen(rep, poly, lam):
     return rep.koornwinder_d(poly) == poly * rep.d_eigenvalue(lam)
 
 
-@pytest.mark.parametrize("n, weight", [(1, 6), (2, 4), (3, 3)])
-def test_d_eigen_holds_agrees_with_reference_specialized(n, weight):
-    family = KoornwinderFamily(n, SpecializedDomain())
+# a rational assignment, and q^(1/2) = 1/2: q = 1/4 makes _grid_pool skip
+# x = 2, and the parts of q and of several parameters have denominators
+# other than 1
+RATIONAL = "-1/2,3,5/3,7,11,-13"
+HALF_Q = "1/2,3,5,7,11,13"
+
+
+def _specialized(assignment):
+    return SpecializedDomain(assignment and Assignment.parse(assignment))
+
+
+def test_parts_round_trip_specialized():
+    for dom in (SpecializedDomain(), _specialized(RATIONAL),
+                _specialized(HALF_Q)):
+        eigenvalue = NoumiRepresentation(
+            LaurentRing(2, dom)).d_eigenvalue((2, 1))
+        for c in (dom.zero, dom.one, dom.a, dom.b, dom.c, dom.d, dom.q,
+                  dom.t, dom.d_eps, -eigenvalue, Fraction(-7, 12)):
+            num, den = dom.parts(c)
+            assert type(num) is int and type(den) is int and den > 0
+            assert Fraction(num, den) == c
+
+
+def test_parts_round_trip_symbolic(symbolic):
+    rng = random.Random(24)
+    d = symbolic
+    values = [d.zero, d.one, d.a, d.b, d.c, d.d, d.q, d.t, d.d_eps,
+              -NoumiRepresentation(LaurentRing(2, d)).d_eigenvalue((2, 1))]
+    values += [random_field_element(rng) for _ in range(30)]
+    for c in values:
+        num, den = d.parts(c)
+        assert type(num) is LaurentScalar and type(den) is LaurentScalar
+        assert den
+        assert FieldElement(num.terms, den.terms) == c
+
+
+@pytest.mark.parametrize(
+    "n, weight, assignment",
+    [(1, 6, None), (2, 4, None), (3, 3, None), (1, 5, RATIONAL),
+     (2, 3, RATIONAL), (1, 5, HALF_Q), (2, 3, HALF_Q)],
+    ids=["1-6", "2-4", "3-3", "1-5-rational", "2-3-rational", "1-5-half_q",
+         "2-3-half_q"])
+def test_d_eigen_holds_agrees_with_reference_specialized(n, weight,
+                                                          assignment):
+    family = KoornwinderFamily(n, _specialized(assignment))
     rep = family.rep
     for lam in weyl.partitions_up_to(n, weight):
         poly = family.symmetric(lam).poly
@@ -440,18 +483,22 @@ def test_d_eigen_holds_rejects_perturbations(n, weight):
                                   weyl.partitions_up_to(n, weight))
 
 
-@pytest.mark.parametrize("lam", [(2,), (1, 0)])
+@pytest.mark.parametrize("lam", [(2,), (1, 0), (1, 1)])
 def test_d_eigen_holds_rejects_perturbations_symbolic(symbolic, lam):
     _assert_rejects_perturbations(KoornwinderFamily(len(lam), symbolic), [lam])
 
 
-@pytest.mark.parametrize("lam", [(2, 0), (2, 1, 0)])
-def test_d_eigen_holds_rejects_a_tiny_perturbation(lam):
+@pytest.mark.parametrize("lam, assignment",
+                         [((2, 0), None), ((2, 1, 0), None),
+                          ((2, 0), RATIONAL), ((2, 1, 0), RATIONAL)],
+                         ids=["lam0", "lam1", "lam0-rational",
+                              "lam1-rational"])
+def test_d_eigen_holds_rejects_a_tiny_perturbation(lam, assignment):
     # the constant term is W0-invariant on its own, so the perturbed
     # polynomial is still invariant with the same degree bound; D kills
     # constants, so its residual is -E(lam) * 10^-30, which only exact
     # arithmetic tells from zero
-    family = KoornwinderFamily(len(lam), SpecializedDomain())
+    family = KoornwinderFamily(len(lam), _specialized(assignment))
     rep = family.rep
     poly = family.symmetric(lam).poly
     bad = poly + family.ring.scalar(Fraction(1, 10 ** 30))

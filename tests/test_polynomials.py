@@ -260,6 +260,27 @@ def test_verify_spectrum_rejects_wrong_data(request, name, alpha):
     assert not fam.verify_spectrum(wrong_spec)
 
 
+@pytest.mark.parametrize("name, alpha", [("fam1", (2,)), ("fam2", (2, -1))],
+                         ids=["symbolic", "specialized"])
+def test_verify_spectrum_reads_the_stored_numerators(request, name, alpha):
+    # the monic multiple is confirmed on num and den as stored: one
+    # numerator off by one, or the denominator doubled, must fail
+    from koornwinder.laurent import LaurentPolynomial
+    from koornwinder.polynomials import LabeledPolynomial
+    fam = request.getfixturevalue(name)
+    good = fam.nonsymmetric(alpha)
+    assert fam.verify_spectrum(good)
+    poly = good.poly
+    wrong = [LaurentPolynomial(fam.ring, poly.num, 2 * poly.den)]
+    for e in sorted(poly.num):
+        num = dict(poly.num)
+        num[e] = num[e] + 1
+        wrong.append(LaurentPolynomial(fam.ring, num, poly.den))
+    for bad in wrong:
+        assert not fam.verify_spectrum(LabeledPolynomial(
+            label=alpha, poly=bad, spectrum=good.spectrum))
+
+
 @pytest.mark.parametrize("mode, alpha", [("symbolic", (1,)),
                                          ("specialized", (1, 0))])
 def test_verify_spectrum_rejects_a_chain_state_that_is_no_eigenvector(
