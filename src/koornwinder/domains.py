@@ -184,6 +184,10 @@ class LaurentScalarDomain(_BaseDomain):
     def from_int(self, k):
         return LaurentScalar.from_int(k)
 
+    def encode_scalar(self, v):
+        """v as the JSON value of the field element it equals."""
+        return v.to_field().to_json_value()
+
 
 class SymbolicDomain(_BaseDomain):
     """Scalars are exact symbolic field elements; chain states are built
@@ -258,9 +262,6 @@ class SpecializedDomain(_BaseDomain):
     def product_equals(self, a, b, c):
         """Whether a * b == c."""
         return a * b == c
-
-    def complexity(self, v):
-        return v.numerator.bit_length() + v.denominator.bit_length()
 
     def common_denominator(self, values):
         """The lcm of the denominators of the values."""

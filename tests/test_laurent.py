@@ -12,6 +12,7 @@ from koornwinder.domains import (Assignment, LaurentScalarDomain,
 from koornwinder.laurent import (LaurentRing, ExactDivisionError,
                                  apply_simple_reflection, apply_translation,
                                  exact_divide, unit_normalize)
+from koornwinder.noumi import NoumiRepresentation
 from koornwinder.paramfield import FieldElement, LaurentScalar
 
 from conftest import random_laurent
@@ -552,8 +553,17 @@ def test_int_scalars_become_domain_scalars(name):
         assert f.terms == want.terms
         assert {type(c) for c in f.terms.values()} == {type(domain.one)}
         assert type(f.coefficient((0, 0))) is type(domain.one)
-        if name != "raw":   # the raw domain's scalars have no JSON form
-            assert f.to_json() == want.to_json()
+        assert f.to_json() == want.to_json()
+
+
+def test_raw_polynomials_write_out_as_their_symbolic_twins():
+    raw, symbolic = DOMAINS["raw"], DOMAINS["symbolic"]
+    raw_ring, ring = LaurentRing(2, raw), LaurentRing(2, symbolic)
+    y = NoumiRepresentation(raw_ring).y
+    for f in (raw_ring.one(), y(1, raw_ring.gen(1)), y(2, raw_ring.gen(2, -1))):
+        twin = ring.from_terms({e: symbolic.from_raw(c)
+                                for e, c in f.terms.items()})
+        assert f.to_json() == twin.to_json()
 
 
 def test_fraction_scalars_in_the_symbolic_ring():
