@@ -406,11 +406,15 @@ def _divide_binomial(f, g):
         content, one = 1, ring.domain.one
         divide = None if ca == one else (ca ** (-1)).__mul__
     neg_cb = None if -cb == one else -cb
-    lines = {}
+    lines, steps = {}, {}       # steps: k -> k w
     for e, c in f.num.items():
         k = e[j] // wj
-        base = tuple(x - k * y for x, y in zip(e, w)) if k else e
-        lines.setdefault(base, {})[k] = c
+        if k:
+            kw = steps.get(k)
+            if kw is None:
+                kw = steps[k] = tuple(k * y for y in w)
+            e = tuple(map(sub, e, kw))
+        lines.setdefault(e, {})[k] = c
     quot = {}
     for base, line in lines.items():
         top, bottom = max(line), min(line)

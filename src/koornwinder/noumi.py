@@ -14,10 +14,14 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from . import weyl
-from .laurent import (LaurentRing, apply_simple_reflection, apply_translation,
+from .laurent import (LaurentPolynomial, LaurentRing, _reduced, _times,
+                      apply_simple_reflection, apply_translation,
                       exact_divide, unit_normalize, ExactDivisionError)
+from .paramfield import _merged, _sub
 
 
 def character_value(word, domain, n):
@@ -26,6 +30,18 @@ def character_value(word, domain, n):
     for i in word:
         v = v * domain.t_half(i, n)
     return v
+
+
+def _check_sign(sign):
+    """sign, which must be 1 or -1: the exponent of an operator."""
+    if sign != 1 and sign != -1:
+        raise ValueError("sign must be 1 or -1, not %r" % (sign,))
+    return sign
+
+
+def _over(c, d, m):
+    """The numerator of c / d over the multiple m of d."""
+    return c if d == m else c * (m // d)
 
 
 def _pair_product(pairs):
@@ -74,14 +90,17 @@ class NoumiRepresentation:
     # -- generators ------------------------------------------------------
 
     def _t_split(self, i):
-        """(alpha, rest, den, gaps): the (s_i - 1) coefficient of T_i,
-        t_i^(-1/2) num_i / den_i, as alpha + rest / den.
+        """{sign: (den, a, g, rest, m)}: the constants of T_i^sign in
+        remainder form, over one int denominator m.
 
         num_i and den_i are cleared of negative powers.  den is den_i
         over its graded-lex leading term and num is t_i^(-1/2) num_i over
         the same term; alpha is num's coefficient at den's leading
-        monomial and rest = num - alpha den.  gaps[sign] is
-        t_i^(sign/2) - alpha, the coefficient of f in T_i^sign f.
+        monomial and rest = num - alpha den.  With the gap
+        t_i^(sign/2) - alpha, the coefficient of f in T_i^sign f, a / m
+        is alpha, g / m the gap (None when it is zero) and rest the
+        items of rest's numerators over m.  In a domain whose split
+        gives (c, 1), m is 1 and a, g and rest hold its own scalars.
         """
         ring, dom, n = self.ring, self.domain, self.n
         if i == 0:
@@ -98,9 +117,15 @@ class NoumiRepresentation:
         shift, lead, den = unit_normalize(den)
         num = num * ring.monomial([-x for x in shift],
                                   (lead * self._t_half[i]) ** (-1))
-        alpha = num.coefficient(max(den.terms, key=lambda e: (sum(e), e)))
-        gaps = {1: self._t_half[i] - alpha, -1: self._t_half_inv[i] - alpha}
-        return alpha, num - den.scale(alpha), den, gaps
+        alpha = num.coefficient(max(den.num, key=lambda e: (sum(e), e)))
+        rest = num - den.scale(alpha)
+        out = {}
+        for sign, half in ((1, self._t_half[i]), (-1, self._t_half_inv[i])):
+            (an, ad), (gn, gd) = dom.split(alpha), dom.split(half - alpha)
+            m = lcm(ad, gd, rest.den)
+            out[sign] = (den, _over(an, ad, m), _over(gn, gd, m) if gn else None,
+                         tuple(_times(rest.num, m // rest.den).items()), m)
+        return out
 
     def t(self, i, f, sign=1):
         """Apply T_i (sign=+1) or T_i^{-1} (sign=-1):
@@ -127,37 +152,64 @@ class NoumiRepresentation:
         i = 0, n.  alpha is t_i^(1/2) for i > 0 (at i = n since ab = -t_n)
         and t_0^(-1/2) at i = 0, so the f term drops out of T_i for i > 0
         and of T_0^(-1).
+
+        The sum is formed fraction-free, in one pass and one reduction.
+        s_i f and f are put over low, the lcm of their denominators, as
+        numerator dicts r and p, so s_i f - f = (r - p) / low.  Division
+        by den is linear, so dividing the numerators r - p alone, over
+        denominator 1, gives (r - p) / den = Q low, returned as q / e
+        with q its numerators and e an int.  With a / m, g / m and rest / m
+        the constants of _t_split, the three terms are (g / m)(p / low),
+        (a / m)(r / low) and (rest / m)(q / (e low)), so
+            T_i^(+-1) f = (g e p + a e r + rest q) / (m low e):
+        one dict of numerators over one int, which _reduced brings to
+        the reduced form, the same (num, den) as any other route to the
+        same polynomial.  Over a domain whose split gives (c, 1), such as
+        the symbolic ones, the same code runs with m = low = e = 1.
         """
+        _check_sign(sign)
         reflected = apply_simple_reflection(i, f)
-        diff = reflected - f
+        low = lcm(reflected.den, f.den)
+        rn = _times(reflected.num, low // reflected.den)
+        fn = _times(f.num, low // f.den)
+        diff = _sub(rn, fn)
         if not diff:
-            return f * (self._t_half[i] if sign > 0 else self._t_half_inv[i])
-        alpha, rest, den, gaps = self._split[i]
-        out = reflected.scale(alpha) + rest * exact_divide(diff, den)
-        gap = gaps[1 if sign > 0 else -1]
-        return out + f.scale(gap) if gap else out
+            return f.scale(self._t_half[i] if sign > 0 else self._t_half_inv[i])
+        den, a, g, rest, m = self._split[i][sign]
+        q = exact_divide(LaurentPolynomial(self.ring, diff), den)
+        e = q.den
+        if e != 1:
+            a = a * e
+            g = g and g * e
+        out = {x: c * a for x, c in rn.items()}
+        if g:
+            _merged(out, {x: c * g for x, c in fn.items()})
+        for shift, r in rest:
+            _merged(out, {tuple(map(add, x, shift)): c * r
+                          for x, c in q.num.items()})
+        return _reduced(self.ring, out, m * low * e)
 
     def x(self, i, f, sign=1):
         """Multiply by x_i^sign."""
-        return f * self.ring.gen(i, 1 if sign > 0 else -1)
+        return f * self.ring.gen(i, _check_sign(sign))
 
     def y(self, i, f, sign=1):
         """Apply Y_i^{+-1}, the Hecke lift of the translation by e_i."""
-        for j, s in self._y_letters[i, 1 if sign > 0 else -1]:
+        for j, s in self._y_letters[i, _check_sign(sign)]:
             f = self.t(j, f, s)
         return f
 
     def u0(self, f, sign=1):
         """Apply U_0 = q^{-1/2} T_0^{-1} X_1, or its inverse
         X_1^{-1} T_0 q^{1/2}."""
-        if sign > 0:
+        if _check_sign(sign) > 0:
             return self.t(0, self.x(1, f), -1) * self.domain.q_sqrt ** (-1)
         return self.x(1, self.t(0, f * self.domain.q_sqrt), -1)
 
     def un(self, f, sign=1):
         """Apply U_n = X_1^{-1} T_0 Y_1^{-1}, or its inverse
         Y_1 T_0^{-1} X_1."""
-        if sign > 0:
+        if _check_sign(sign) > 0:
             return self.x(1, self.t(0, self.y(1, f, -1)), -1)
         return self.y(1, self.t(0, self.x(1, f), -1))
 

@@ -11,7 +11,8 @@ from koornwinder.laurent import (LaurentPolynomial, LaurentRing,
                                  apply_simple_reflection)
 from koornwinder.noumi import (NoumiRepresentation, character_value,
                                check_daha_relations, monomial_exponents)
-from koornwinder.domains import Assignment, SpecializedDomain
+from koornwinder.domains import (Assignment, LaurentScalarDomain,
+                                 SpecializedDomain)
 from koornwinder.paramfield import FieldElement, LaurentScalar
 from koornwinder.polynomials import KoornwinderFamily
 
@@ -85,25 +86,74 @@ def literal_t_sides(rep, i, f, sign):
 
 laurent_terms = st.dictionaries(
     st.tuples(*[st.integers(-2, 2)] * 3),
-    st.integers(-3, 3).filter(bool), max_size=4)
+    st.tuples(st.integers(-3, 3).filter(bool), st.integers(1, 4)), max_size=4)
+
+# a rational assignment, and q^(1/2) = 1/2: q = 1/4 makes _grid_pool skip
+# x = 2 and sends T_0 through the lcm of the q powers' denominators, and
+# the parts of q, of several parameters and of the constants of T_i have
+# denominators other than 1
+RATIONAL = "-1/2,3,5/3,7,11,-13"
+HALF_Q = "1/2,3,5,7,11,13"
+
+
+def _specialized(assignment):
+    return SpecializedDomain(assignment and Assignment.parse(assignment))
+
+
+T_DOMAINS = {"rational": lambda: _specialized(RATIONAL),
+             "raw": LaurentScalarDomain}
+
+
+def assert_reduced(g):
+    """g is in the stored form the Laurent layer promises: a positive
+    int den coprime to the content of int numerators (den 1 over a
+    symbolic domain), and no zero numerator."""
+    values = list(g.num.values())
+    assert isinstance(g.den, int) and g.den > 0
+    assert all(values)
+    if all(isinstance(c, int) for c in values):
+        assert math.gcd(g.den, *values) == 1
+    else:
+        assert g.den == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["specialized", "symbolic"])
+@pytest.mark.parametrize("mode", ["specialized", "symbolic", "rational", "raw"])
 def test_t_matches_the_literal_divided_difference(n, mode, request):
-    rep = NoumiRepresentation(LaurentRing(n, request.getfixturevalue(mode)))
+    """Integer and Fraction coefficients (raw: integers, its only
+    scalars), at the default and a rational assignment and on the raw
+    domain of the symbolic chains; every output reduced, and T_i^(-1)
+    inverting T_i."""
+    dom = (T_DOMAINS[mode]() if mode in T_DOMAINS
+           else request.getfixturevalue(mode))
+    rep = NoumiRepresentation(LaurentRing(n, dom))
+    raw = isinstance(dom, LaurentScalarDomain)
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(laurent_terms)
     def check(terms):
-        f = rep.ring.from_terms({e[:n]: rep.domain.from_int(c)
-                                 for e, c in terms.items()})
+        f = rep.ring.from_terms(
+            {e[:n]: dom.from_int(c) if raw else Fraction(c, d)
+             for e, (c, d) in terms.items()})
         for i in range(n + 1):
             for sign in (1, -1):
                 lhs, rhs = literal_t_sides(rep, i, f, sign)
                 assert lhs == rhs
+                image = rep.t(i, f, sign)
+                assert_reduced(image)
+                assert rep.t(i, image, -sign) == f
 
     check()
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, Fraction(1, 2)])
+def test_operators_refuse_a_sign_other_than_one_or_minus_one(rep2, sign):
+    f = rep2.ring.gen(1) + rep2.ring.gen(2, -1)
+    for apply in (lambda: rep2.t(1, f, sign), lambda: rep2.t(0, f, sign),
+                  lambda: rep2.x(1, f, sign), lambda: rep2.y(1, f, sign),
+                  lambda: rep2.u0(f, sign), lambda: rep2.un(f, sign)):
+        with pytest.raises(ValueError, match="sign"):
+            apply()
 
 
 def test_x_operators(rep2):
@@ -393,17 +443,6 @@ def _orbit_sum(ring, mu):
 
 def _true_eigen(rep, poly, lam):
     return rep.koornwinder_d(poly) == poly * rep.d_eigenvalue(lam)
-
-
-# a rational assignment, and q^(1/2) = 1/2: q = 1/4 makes _grid_pool skip
-# x = 2, and the parts of q and of several parameters have denominators
-# other than 1
-RATIONAL = "-1/2,3,5/3,7,11,-13"
-HALF_Q = "1/2,3,5,7,11,13"
-
-
-def _specialized(assignment):
-    return SpecializedDomain(assignment and Assignment.parse(assignment))
 
 
 def test_parts_round_trip_specialized():
