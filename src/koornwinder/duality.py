@@ -88,11 +88,17 @@ class DualityChecker:
     def _star_value(self, kind, left, right, starred):
         """The starred polynomial of left at the spectral point of right,
         q^(right + rho)."""
-        dom = self._fam(starred).domain
         return self._cached(
             ("star value", kind, tuple(left), tuple(right), starred),
             lambda: self._star_poly(kind, left, starred).evaluate(
-                weyl.spectral_vector(tuple(right), dom)))
+                self._point(right, starred)))
+
+    def _point(self, label, starred):
+        """The spectral point q^(label + rho) in the (starred ? twin :
+        primary) domain, shared by every value taken there."""
+        dom = self._fam(starred).domain
+        return self._cached(("point", tuple(label), starred),
+                            lambda: weyl.spectral_vector(tuple(label), dom))
 
     def _pairing(self, kind, left, right, starred):
         """The starred polynomial of left at the spectral point of right,

@@ -62,23 +62,33 @@ def spectral_intertwiner(rep, i, spec, f):
       where U_n f = y_1^-1 X_1^-1 T_0 f.
     """
     dom, n = rep.domain, rep.n
+    lead = leading_scalar(dom, n, i, spec)
     if i == 0:
-        y1_inv = spec[0] ** (-1)
-        shifted = dom.q_pow(-1) * y1_inv
-        lead = (shifted - spec[0]) * y1_inv
         rest = (dom.q_sqrt ** (-1) * _g(dom.u0_sqrt)
-                + shifted * _g(dom.un_sqrt))
+                + dom.q_pow(-1) * spec[0] ** (-1) * _g(dom.un_sqrt))
         return rep.x(1, rep.t(0, f), -1) * lead - f * rest
     if i == n:
-        yn = spec[-1]
-        lead = yn - yn ** (-1)
-        rest = _g(dom.tn_sqrt) * yn + _g(dom.t0_sqrt)
-    elif 0 < i < n:
-        lead = spec[i - 1] - spec[i]
-        rest = _g(dom.t_sqrt) * spec[i - 1]
+        rest = _g(dom.tn_sqrt) * spec[-1] + _g(dom.t0_sqrt)
     else:
-        raise ValueError("intertwiner index out of range: %r" % (i,))
+        rest = _g(dom.t_sqrt) * spec[i - 1]
     return rep.t(i, f) * lead - f * rest
+
+
+def leading_scalar(dom, n, i, spec):
+    """The scalar that S_i multiplies T_i f by (X_1^-1 T_0 f for i = 0)
+    in spectral_intertwiner, for the spectrum spec of f at rank n:
+    y_i - y_(i+1), y_n - y_n^-1, or (q^-1 y_1^-1 - y_1) y_1^-1.
+    A chain's coefficient at its label is a unit times the product of
+    these scalars over its steps (KoornwinderFamily.nonsymmetric)."""
+    if i == 0:
+        y1_inv = spec[0] ** (-1)
+        return (dom.q_pow(-1) * y1_inv - spec[0]) * y1_inv
+    if i == n:
+        yn = spec[-1]
+        return yn - yn ** (-1)
+    if 0 < i < n:
+        return spec[i - 1] - spec[i]
+    raise ValueError("intertwiner index out of range: %r" % (i,))
 
 
 def intertwiner_square_scalar(rep, i, spec):

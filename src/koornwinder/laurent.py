@@ -30,7 +30,9 @@ A two-term divisor c_a x^a + c_b x^b goes through synthetic division:
 multiplying by it maps each line e + k (a - b) of exponents into
 itself, so each line of the dividend is divided on its own, as a
 one-variable polynomial by a linear one, from the top of the line
-down.  A nonzero remainder raises ExactDivisionError.  Over the
+down (_lines, _divide_lines, _line_terms; polynomials divides symbolic
+coefficients by the factors of a chain with the same kernel).  A
+nonzero remainder raises ExactDivisionError.  Over the
 integers the divisor is first divided by its content, which leaves a
 primitive binomial G.  By Gauss's lemma a product of primitive
 polynomials is primitive, so if G h = F for an integer F, h has integer
@@ -371,18 +373,10 @@ def exact_divide(f, g):
 
 def _divide_binomial(f, g):
     """exact_divide for a two-term g = c_a x^a + c_b x^b, a the graded-lex
-    leading exponent, by synthetic division along the lines e + k*w,
-    w = a - b.
-
-    Multiplying by g maps each line into itself, so f is divisible iff
-    each of its lines is.  On the line through a base point p, f reads
-    sum_k f_k x^(p + k w) and g*h = f says f_k = c_a h_k + c_b h_(k+1),
-    h_k the coefficient of h at p + k w - a.  So from the top position
-    down, h_k = (f_k - c_b h_(k+1)) / c_a: the carry f_k - c_b h_(k+1)
-    is divided by c_a where c_a is not one, and h_(k+1) multiplied by
-    -c_b where that is not one.  At the line's lowest position the
-    carry is c_a times h there, which must vanish: c_b times it would
-    land below the lowest term of f.  That carry is the remainder.
+    leading exponent.  With w = a - b and z = x^w, g = x^b (c_a z + c_b),
+    and multiplying by g maps each line e + k*w of exponents into itself:
+    so f is divided line by line (_lines, _divide_lines), as a
+    polynomial in z, and the quotient shifted by -b.
 
     Over the integers, g's numerators are divided by their content
     first, so that the quotient of f's numerators is integral (see the
@@ -393,11 +387,6 @@ def _divide_binomial(f, g):
     (a, ca), (b, cb) = g.num.items()
     if _grlex(a) < _grlex(b):
         a, ca, b, cb = b, cb, a, ca
-    w = tuple(map(sub, a, b))
-    # the base point of a line: its one point whose j-th exponent lies
-    # in the half-open range from 0 toward w_j
-    j = next(k for k, x in enumerate(w) if x)
-    wj = w[j]
     if isinstance(ca, int):
         content = gcd(ca, cb)
         ca, cb, one = ca // content, cb // content, 1
@@ -405,34 +394,89 @@ def _divide_binomial(f, g):
     else:
         content, one = 1, ring.domain.one
         divide = None if ca == one else (ca ** (-1)).__mul__
-    neg_cb = None if -cb == one else -cb
-    lines, steps = {}, {}       # steps: k -> k w
-    for e, c in f.num.items():
+    w = tuple(map(sub, a, b))
+    lines = _divide_lines(_lines(f.num, w), divide,
+                          None if -cb == one else -cb)
+    if lines is None:
+        raise ExactDivisionError("nonzero remainder in exact division")
+    return _reduced(ring, _times(_line_terms(lines, w, b), g.den),
+                    f.den * content)
+
+
+def _lines(num, w):
+    """The term dict num split into its lines along w: {p: {k: c}} with c
+    the coefficient at p + k*w, p the line's one point whose j-th
+    exponent lies in the half-open range from 0 toward w_j, j the first
+    index with w_j nonzero.  Each offset k*w is computed once per k."""
+    j = next(k for k, x in enumerate(w) if x)
+    wj = w[j]
+    lines, steps = {}, {}
+    get = lines.get
+    for e, c in num.items():
         k = e[j] // wj
         if k:
             kw = steps.get(k)
             if kw is None:
                 kw = steps[k] = tuple(k * y for y in w)
             e = tuple(map(sub, e, kw))
-        lines.setdefault(e, {})[k] = c
-    quot = {}
-    for base, line in lines.items():
+        line = get(e)
+        if line is None:
+            lines[e] = {k: c}
+        else:
+            line[k] = c
+    return lines
+
+
+def _line_terms(lines, w, low=None):
+    """The term dict of lines along w, as _lines gives them, times
+    x^-low when low is given."""
+    out, steps = {}, {}
+    for p, line in lines.items():
+        if low is not None:
+            p = tuple(map(sub, p, low))
+        for k, c in line.items():
+            if k:
+                kw = steps.get(k)
+                if kw is None:
+                    kw = steps[k] = tuple(k * y for y in w)
+                out[tuple(map(add, p, kw))] = c
+            else:
+                out[p] = c
+    return out
+
+
+def _divide_lines(lines, divide=None, neg_cb=None):
+    """Each line of lines, {p: {k: c}}, read as the polynomial sum c z^k
+    in one variable z, divided by c_a z + c_b: the quotients in the same
+    form, or None when some line leaves a remainder.  divide(x) is
+    x / c_a, and None when c_a is one; neg_cb is -c_b, and None when
+    that is one.
+
+    On a line, sum_k f_k z^k = (c_a z + c_b) sum_k h_k z^k says
+    f_(k+1) = c_a h_k + c_b h_(k+1).  So from the top position down,
+    h_k = (f_(k+1) - c_b h_(k+1)) / c_a: the carry f_(k+1) - c_b h_(k+1)
+    is divided by c_a.  At the line's lowest position the carry is what
+    is left of f there, f_bottom - c_b h_bottom, which must vanish: it
+    is the remainder.  So the quotient is unique, and the line is
+    divisible exactly when the remainder is zero.
+    """
+    out = {}
+    for p, line in lines.items():
         top, bottom = max(line), min(line)
-        # each step down the line moves the quotient exponent by -w
-        e = tuple(x + top * y - z for x, y, z in zip(base, w, a))
         carry = line[top]
+        quot = out[p] = {}
+        get = line.get
         for k in range(top - 1, bottom - 1, -1):
             if carry:
                 h = carry if divide is None else divide(carry)
-                quot[e] = h
+                quot[k] = h
                 carry = h if neg_cb is None else h * neg_cb
-            e = tuple(map(sub, e, w))
-            c = line.get(k)
+            c = get(k)
             if c is not None:
                 carry = carry + c if carry else c
         if carry:
-            raise ExactDivisionError("nonzero remainder in exact division")
-    return _reduced(ring, _times(quot, g.den), f.den * content)
+            return None
+    return out
 
 
 def _int_divider(ca):

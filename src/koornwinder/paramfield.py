@@ -192,13 +192,17 @@ def _lcm(polys):
     return _from_ring(out)
 
 
-def _normalize(num, den, reduce=False):
+def _normalize(num, den, reduce=False, cofactors=None):
     """Canonical form of num/den, given without zero coefficients.
 
     The full gcd reduction runs when reduce is set, or when either side
     has more than GCD_TERM_THRESHOLD terms and neither has just one: once
     the common monomial and content are stripped, a one-term side has
-    only unit divisors in common with the other.
+    only unit divisors in common with the other.  It is
+    cofactors(num, den), _full_reduce unless given: num and den divided
+    by their gcd.  A caller that knows the factors of den may pass its
+    own, which must return coprime polynomials with no common monomial
+    or content.
     """
     if not den:
         raise ZeroDivisionError("field element with zero denominator")
@@ -208,7 +212,7 @@ def _normalize(num, den, reduce=False):
     num, den = _strip_content(num, den)
     if reduce or (max(len(num), len(den)) > GCD_TERM_THRESHOLD
                   and min(len(num), len(den)) > 1):
-        num, den = _full_reduce(num, den)
+        num, den = (cofactors or _full_reduce)(num, den)
     if den[max(den)] < 0:
         num, den = _neg(num), _neg(den)
     if len(num) == len(den):
@@ -219,11 +223,11 @@ def _normalize(num, den, reduce=False):
     return num, den
 
 
-def _element(num, den, reduce=False):
+def _element(num, den, reduce=False, cofactors=None):
     """A field element from term dictionaries without zero coefficients,
     skipping the filter of the public constructor."""
     out = object.__new__(FieldElement)
-    out.num, out.den = _normalize(num, den, reduce)
+    out.num, out.den = _normalize(num, den, reduce, cofactors)
     return out
 
 
@@ -330,13 +334,18 @@ class FieldElement:
 
     @_binary
     def __mul__(self, other):
+        return self.times(other)
+
+    def times(self, other, cofactors=None):
+        """self * other for a FieldElement other, normalized by
+        _normalize with the given cofactors."""
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         # cheap cross cancellation of identical dictionaries
         if n1 == d2:
             n1 = d2 = _ONE
         if n2 == d1:
             n2 = d1 = _ONE
-        return _element(_mul(n1, n2), _mul(d1, d2))
+        return _element(_mul(n1, n2), _mul(d1, d2), cofactors=cofactors)
 
     __rmul__ = __mul__
 

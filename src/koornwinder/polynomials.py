@@ -13,12 +13,19 @@ defined up to a scalar, which the final normalization removes), so
 chains to nearby points share work.  They are built over the domain's
 raw domain: in symbolic mode the Laurent polynomials in the six square
 roots, where no gcd ever runs; a field is needed only to normalize.
+In symbolic mode the normalizing coefficient is a unit times the
+product of the chain's step scalars, binomials whose irreducible
+factors chain_factors lists.  Dividing by them in turn puts each
+coefficient in lowest terms with no gcd, and the same factors certify,
+in verify_spectrum, that the output is the chain state's monic
+multiple; labels whose factors are not all binomials take the gcd.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import operator
 import os
 import tempfile
@@ -26,14 +33,174 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 from . import weyl
-from .intertwine import apply_intertwiner, spectral_intertwiner
-from .laurent import LaurentRing, LaurentPolynomial
+from .intertwine import apply_intertwiner, leading_scalar, spectral_intertwiner
+from .laurent import (ExactDivisionError, LaurentRing, LaurentPolynomial,
+                      _divide_lines, _line_terms, _lines)
 from .noumi import NoumiRepresentation, monomial_exponents
 from .oracle import EigenOracle, matrix_rank
+from .paramfield import _merged, _mul, _strip_monomial
 
 
 class NonGenericParametersError(ArithmeticError):
     """A normalizing coefficient vanished under the chosen assignment."""
+
+
+# ---------------------------------------------------------------------------
+# the factors of a chain's coefficient at its label (symbolic mode)
+
+def chain_factors(alpha, domain):
+    """Irreducible factors whose product is, up to a unit, the chain
+    state's coefficient at x^alpha; or None.  domain is the raw domain
+    LaurentScalarDomain, and a factor (v, c) stands for 1 + c r^v, r the
+    six square roots, c = +-1 and the first nonzero entry of v positive.
+
+    They come from the leading_scalar of each step of weyl.chain_to
+    (alpha).  A step scalar must be m (1 - sigma r^d), with m a unit and
+    sigma = +-1: two terms with coefficients +-1.  Let g be the gcd of
+    the entries of d and w = d / g, or -d / g, whichever has its first
+    nonzero entry positive.  A unimodular change of variables makes
+    z = r^w one of them, so 1 - sigma z^g factors over Z as in one
+    variable.  It is a product of binomials exactly when g is a power
+    of two: 1 + z^g for sigma = -1, and (1 - z)(1 + z)(1 + z^2)..
+    (1 + z^(g/2)) for sigma = 1, the cyclotomic polynomials Phi_1(z),
+    Phi_2(z), Phi_4(z), .., each irreducible.  Any other step, such as
+    one with g = 3 or 6, whose 1 - z^g has the trinomial Phi_3(z),
+    gives None.
+    """
+    n = len(alpha)
+    point = (0,) * n
+    out = []
+    for i in weyl.chain_to(alpha):
+        spec = weyl.spectral_vector(point, domain)
+        split = _binomial_factors(leading_scalar(domain, n, i, spec).terms)
+        if split is None:
+            return None
+        out += split
+        point = weyl.affine_action(i, point)
+    return out
+
+
+def _binomial_factors(terms):
+    """The factors of chain_factors for one step scalar, or None."""
+    if len(terms) != 2 or any(c not in (1, -1) for c in terms.values()):
+        return None
+    (e1, c1), (e2, c2) = terms.items()
+    # c1 r^e1 + c2 r^e2 = c1 r^e1 (1 - sigma r^d)
+    d = tuple(map(operator.sub, e2, e1))
+    g = math.gcd(*d)
+    if g & (g - 1):
+        return None
+    w = tuple(x // g for x in d)
+    if next(x for x in w if x) < 0:
+        w = tuple(-x for x in w)
+    if c1 == c2:                        # sigma = -1
+        return [(tuple(g * x for x in w), 1)]
+    out = [(w, -1)]
+    k = 1
+    while k < g:
+        out.append((tuple(k * x for x in w), 1))
+        k *= 2
+    return out
+
+
+def _times_factors(terms, factors):
+    """The term dict terms times the product of the factors (v, c) of
+    chain_factors.  The factors along one v multiply to a polynomial in
+    z = r^v with constant term one, so terms is shifted and added once
+    per other term of it: once for (1 - z)(1 + z) = 1 - z^2."""
+    for v, signs in _by_direction(factors).items():
+        poly = {0: 1}
+        for c in signs:
+            poly = _merged({k + 1: c * x for k, x in poly.items()}, poly)
+        out = dict(terms)
+        for k, x in poly.items():
+            if k:
+                kv = tuple(k * y for y in v)
+                _merged(out, {tuple(map(operator.add, e, kv)): x * t
+                              for e, t in terms.items()})
+        terms = out
+    return terms
+
+
+def _unit(a, b):
+    """The monomial u with u * b == a, for term dicts a and b, or None."""
+    top, low = max(a), max(b)
+    u, r = divmod(a[top], b[low])
+    unit = {tuple(map(operator.sub, top, low)): u}
+    return unit if not r and _mul(unit, b) == a else None
+
+
+def _divide_out(num, groups):
+    """The term dict num divided by each factor that divides it, in
+    turn, and the list of the factors that did not.  groups maps v to
+    the signs c of the factors (v, c); the factors along one v share one
+    split of num into lines (laurent._lines), and 1 + c r^v is c z + 1
+    on them, z = r^v."""
+    rest = []
+    for v, signs in groups.items():
+        lines, divided = _lines(num, v), False
+        for c in signs:
+            q = _divide_lines(lines, None if c == 1 else operator.neg, -1)
+            if q is None:
+                rest.append((v, c))
+            else:
+                lines, divided = q, True
+        if divided:
+            num = _line_terms(lines, v)
+    return num, rest
+
+
+def _by_direction(factors):
+    """The factors (v, c) as a dict from v to the list of their c."""
+    groups = {}
+    for v, c in factors:
+        groups.setdefault(v, []).append(c)
+    return groups
+
+
+def _trial_cofactors(factors, lead):
+    """The cofactors, for paramfield._normalize, of a chain's coefficients
+    over the coefficient lead at its label, or None (the gcd then runs).
+
+    None unless factors is a list and lead, a term dict, is exactly a
+    monomial times their product.  Each den that _normalize then passes
+    is a monomial times lead (see KoornwinderFamily.nonsymmetric), so a
+    monomial times the product.  The cofactors divide num by each factor
+    that divides it, in turn, and den becomes that monomial times the
+    factors that did not divide num at their turn.  These do not divide
+    what is left of num, and they are irreducible, so the two are
+    coprime.  Each factor is primitive, so the quotient keeps num's
+    content, and den's content is the monomial's, whose common part with
+    num's _normalize has stripped; the common monomial is stripped last.
+    """
+    if factors is None:
+        return None
+    product = _times_factors({(0,) * 6: 1}, factors)
+    if _unit(lead, product) is None:
+        return None
+    groups = _by_direction(factors)
+
+    def cofactors(num, den):
+        unit = _unit(den, product)
+        if unit is None:
+            raise ExactDivisionError("denominator is no multiple of the lead")
+        num, rest = _divide_out(num, groups)
+        return _strip_monomial(num, _times_factors(unit, rest))
+    return cofactors
+
+
+def _certified(c, factors, lead, value):
+    """Whether c * lead == value, for a field element c and term dicts
+    lead and value, holds by a certificate from factors: G, the product
+    of the factors that do not divide c.den (tried in turn), and a
+    monomial u with c.den G u == lead and c.num G u == value.  Both
+    identities are exact, and G u is nonzero, so together they give
+    c * lead = c.num G u = value.  False says only that this
+    certificate failed."""
+    _, rest = _divide_out(c.den, _by_direction(factors))
+    unit = _unit(lead, _times_factors(c.den, rest))
+    return (unit is not None
+            and _mul(unit, _times_factors(c.num, rest)) == value)
 
 
 @dataclass
@@ -80,7 +247,23 @@ class KoornwinderFamily:
         return alpha
 
     def nonsymmetric(self, alpha):
-        """The monic joint Y-eigenvector labeled by alpha."""
+        """The monic joint Y-eigenvector labeled by alpha.
+
+        The raw chain state times the inverse of its coefficient lead at
+        x^alpha.  In symbolic mode each coefficient c is the field
+        product c * lead^-1, whose den is a unit times lead.  Where
+        paramfield._normalize would reduce it by the gcd, it runs the
+        cofactors of _trial_cofactors instead, provided lead is a
+        monomial times the product of chain_factors(alpha), checked once
+        by one exact product.  They leave num and den coprime, with no
+        common monomial or content, and _normalize then fixes the sign.
+        Z[r] is a unique factorization domain, so such a (num, den) is
+        unique up to sign, and it is the canonical form that the gcd
+        gives, byte for byte.  Everywhere else, and for every
+        coefficient of a label whose check fails or whose chain_factors
+        is None, the product is the same as before: the gcd runs where
+        it would.
+        """
         alpha = self._label(alpha)
         cached = self._nonsymmetric.get(alpha)
         if cached is not None:
@@ -90,9 +273,18 @@ class KoornwinderFamily:
             self._nonsymmetric[alpha] = disk
             return disk
         raw, lead = self._generic_state(alpha)
+        if self.raw_rep is self.rep:
+            poly = raw * lead ** (-1)
+        else:
+            from_raw = self.domain.from_raw
+            inverse = from_raw(lead) ** (-1)
+            cofactors = _trial_cofactors(
+                chain_factors(alpha, self.raw_rep.domain), lead.terms)
+            poly = LaurentPolynomial(
+                self.ring, {e: from_raw(c).times(inverse, cofactors)
+                            for e, c in raw.num.items()})
         labeled = LabeledPolynomial(
-            label=alpha,
-            poly=self._to_field(raw) * self.domain.from_raw(lead) ** (-1),
+            label=alpha, poly=poly,
             spectrum=weyl.spectral_vector(alpha, self.domain))
         self._nonsymmetric[alpha] = labeled
         self._disk_write(labeled)
@@ -171,7 +363,16 @@ class KoornwinderFamily:
         r = r_n / d_R over the raw one, c * lead == r exactly when
         c_n * l_n == r_n * d_L (d_L is 1 in symbolic mode).
         domain.product_equals decides each equation without normalizing
-        a product.
+        a product.  In symbolic mode each equation is first tried by
+        _certified with the chain's factors: a polynomial G, a product
+        of nonzero binomials, and a monomial u with c.den G u == lead
+        and c.num G u == r d_L.  These two exact identities give
+        c * lead == r d_L, whatever the factors are, so a certificate
+        proves the equation; one that fails proves nothing, and the
+        equation goes to product_equals, so the shortcut never rejects
+        a true equation.  For nonsymmetric's output G is lead over
+        c.den, up to a unit, and it is built by multiplying binomials
+        in, which is much cheaper than the cross multiplication.
         """
         alpha = labeled.label
         spec = weyl.spectral_vector(alpha, self.raw_rep.domain)
@@ -186,9 +387,14 @@ class KoornwinderFamily:
         poly = labeled.poly
         if lead is None or poly.num.keys() != raw.num.keys():
             return False
-        lead, den, raw_num = from_raw(lead), poly.den, raw.num
-        same = self.domain.product_equals
-        return all(same(c, lead, from_raw(raw_num[e] * den))
+        den, raw_num, same = poly.den, raw.num, self.domain.product_equals
+        if self.raw_rep is self.rep:
+            return all(same(c, lead, raw_num[e] * den)
+                       for e, c in poly.num.items())
+        factors = chain_factors(alpha, self.raw_rep.domain) or ()
+        field_lead = from_raw(lead)
+        return all(_certified(c, factors, lead.terms, (raw_num[e] * den).terms)
+                   or same(c, field_lead, from_raw(raw_num[e] * den))
                    for e, c in poly.num.items())
 
     # -- symmetric family ----------------------------------------------------

@@ -573,15 +573,20 @@ def test_symbolic_stdout_is_pinned(capsys, argv):
     assert out == PINNED_STDOUT[argv]
 
 
-# sha256 of the stdout of two symbolic commands whose coefficients have
-# more than GCD_TERM_THRESHOLD terms, so that their canonical form went
-# through the full gcd reduction; recorded while chain states were still
-# built over the field.
+# sha256 of the stdout of symbolic commands whose coefficients have more
+# than GCD_TERM_THRESHOLD terms, so that their canonical form went through
+# the full gcd reduction; the first two were recorded while chain states
+# were still built over the field, the last two while every such
+# coefficient was still reduced by the gcd.
 PINNED_DIGESTS = {
     ("compute-e", "--n", "1", "--alpha", "3", "--mode", "symbolic"):
         "cc0dff023e77d84f1856ff920b0728a2106a5224f6bab676061a3f7b09166f38",
     ("compute-e", "--n", "2", "--alpha", "1,1", "--mode", "symbolic"):
         "0f3b71b5e754a43343bff0ee1911ffa4d8cbfd5aeeb753807c9c012547c5d9c6",
+    ("compute-e", "--n", "1", "--alpha", "-3", "--mode", "symbolic"):
+        "831a1b4865eb0a13f42d91d33f0d6c8f44fe0d778435a10a15ac19bc8884786d",
+    ("compute-e", "--n", "2", "--alpha", "2,-1", "--mode", "symbolic"):
+        "3975445aa3f86fb9d5f66574488ca5ae26106f4c4f235444a6c3242d86048d7a",
 }
 
 

@@ -162,3 +162,23 @@ def test_functional_star_paired(specialized):
         sa, sw, sb = star_pbw_triple(alpha, word, beta)
         assert (functional_closed_form(specialized, 2, sa, sw, sb)
                 == functional_closed_form(star_domain, 2, alpha, word, beta))
+
+
+def test_star_values_take_each_spectral_point_once(monkeypatch, chk2):
+    labels = [(0, 0), (1, 0), (0, 1), (1, -1)]
+    for label in labels:
+        for starred in (False, True):
+            chk2._star_poly("nonsymmetric", label, starred)
+    calls = []
+    spectral_vector = weyl.spectral_vector
+
+    def counting(alpha, domain):
+        calls.append(alpha)
+        return spectral_vector(alpha, domain)
+
+    monkeypatch.setattr(weyl, "spectral_vector", counting)
+    chk2._memo = {k: v for k, v in chk2._memo.items() if k[0] == "star"}
+    for left in labels:
+        for right in labels:
+            chk2._star_value("nonsymmetric", left, right, False)
+    assert sorted(calls) == sorted(labels)

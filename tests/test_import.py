@@ -1,6 +1,7 @@
 """sympy is imported by the first gcd or lcm of field elements: not by the
-package, the symbolic domain or a symbolic command whose coefficients
-stay small.
+package, the symbolic domain, a symbolic command whose coefficients stay
+small, or a symbolic E_alpha that is normalized by its chain's own
+factors.
 
 Each test runs its snippet in a fresh interpreter, so that no module
 imported by another test is already in sys.modules.
@@ -83,9 +84,10 @@ for argv in (["basis-check", "--n", "1", "--degree", "4", "--mode", "symbolic"],
              ["check-relations", "--n", "1", "--degree", "2",
               "--mode", "symbolic"],
              ["compute-e", "--n", "1", "--alpha", "1", "--mode", "symbolic"],
+             ["compute-e", "--n", "1", "--alpha", "3", "--mode", "symbolic"],
              ["specialize", "--input", %r, "--assignment", "2,3,5,7,11,13"]):
     assert cli.main(argv) == 0, argv
     assert "sympy" not in sys.modules, argv
-assert cli.main(["compute-e", "--n", "1", "--alpha", "3", "--mode", "symbolic"]) == 0
+assert cli.main(["compute-p", "--n", "1", "--lambda", "2", "--mode", "symbolic"]) == 0
 assert "sympy" in sys.modules
 """ % (str(element),))

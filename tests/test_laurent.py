@@ -660,3 +660,33 @@ def test_sums_never_add_a_ring_coefficient_to_zero(name, monkeypatch):
         assert (f - g).terms == difference
         assert (-(g - f)).terms == difference
         assert (f * g).terms == (g * f).terms == product
+
+
+def test_line_division_kernel_reports_a_remainder():
+    # the kernel on plain int term dicts in six variables, as the trial
+    # division of symbolic coefficients calls it: each line along w is
+    # divided by z + c_b, z = x^w; a quotient, or None on a remainder
+    from koornwinder.laurent import _divide_lines, _line_terms, _lines
+    from koornwinder.paramfield import _add, _mul
+    rng = random.Random(5)
+    for _ in range(30):
+        a = tuple(rng.randint(0, 2) for _ in range(6))
+        b = tuple(rng.randint(0, 2) for _ in range(6))
+        if a == b:
+            continue
+        w = tuple(x - y for x, y in zip(a, b))
+        cb = rng.choice((1, -1))
+        h = {tuple(rng.randint(-2, 2) for _ in range(6)): rng.randint(-3, 3)
+             for _ in range(6)}
+        h = {e: c for e, c in h.items() if c}
+        if not h:
+            continue
+        f = _mul({a: 1, b: cb}, h)
+        neg_cb = None if cb == -1 else -cb
+        lines = _divide_lines(_lines(f, w), None, neg_cb)
+        assert _line_terms(lines, w, b) == h
+        # a monomial is a unit, so f + x^e is divisible only if the
+        # binomial were a unit too
+        e = tuple(rng.randint(-2, 2) for _ in range(6))
+        assert _divide_lines(_lines(_add(f, {e: 1}), w), None, neg_cb) is None
+        assert _divide_lines(_lines({e: 1}, w), None, neg_cb) is None

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from koornwinder import paramfield, polynomials, weyl
 from koornwinder.domains import Assignment, SpecializedDomain, SymbolicDomain
-from koornwinder.intertwine import spectral_intertwiner
+from koornwinder.intertwine import leading_scalar, spectral_intertwiner
 from koornwinder.noumi import check_daha_relations, monomial_exponents
 from koornwinder.oracle import matrix_rank
 from koornwinder.polynomials import (KoornwinderFamily,
@@ -504,3 +505,148 @@ def test_disk_cache_entry_under_the_unversioned_key_is_a_miss(tmp_path,
     fam = KoornwinderFamily(2, specialized, cache_dir=str(tmp_path))
     assert fam._disk_read((1, 0)) is None
     assert fam.nonsymmetric((1, 0)).poly == expected.poly
+
+
+# -- normalization by the chain's own factors (symbolic mode) -----------------
+
+def _step_scalars(alpha, raw):
+    """The leading scalar of every step of alpha's chain, as term dicts,
+    from the spectral vectors alone: no chain state is built."""
+    n, point, out = len(alpha), (0,) * len(alpha), []
+    for i in weyl.chain_to(alpha):
+        spec = weyl.spectral_vector(point, raw)
+        out.append(leading_scalar(raw, n, i, spec).terms)
+        point = weyl.affine_action(i, point)
+    return out
+
+
+def test_chain_factors_split_the_step_scalars_of_0_2_0(symbolic):
+    raw = symbolic.raw_domain
+    expected = []
+    for scalar in _step_scalars((0, 2, 0), raw):
+        parts = polynomials._binomial_factors(scalar)
+        for v, c in parts:
+            # 1 + c r^v with c = +-1 and v's first nonzero entry positive
+            assert c in (1, -1) and next(x for x in v if x) > 0
+        product = polynomials._times_factors({(0,) * 6: 1}, parts)
+        # the scalar is a unit, a +-1 monomial, times the product
+        unit = polynomials._unit(scalar, product)
+        assert unit and set(unit.values()) <= {1, -1}
+        expected.append(parts)
+    # every step has g = 2, 1 - z^2 = (1 - z)(1 + z), but the last, which
+    # has g = 4 and adds Phi_4: 1 - z^4 = (1 - z)(1 + z)(1 + z^2)
+    w = [parts[0][0] for parts in expected]
+    assert expected[:-1] == [[(v, -1), (v, 1)] for v in w[:-1]]
+    v = w[-1]
+    assert expected[-1] == [(v, -1), (v, 1), (tuple(2 * x for x in v), 1)]
+    assert polynomials.chain_factors((0, 2, 0), raw) == sum(expected, [])
+
+
+def test_chain_factors_refuse_a_step_with_g_6(symbolic):
+    # at n = 4, (0,0,3,0)'s last step scalar is m (1 - z^6), whose factor
+    # Phi_3(z) = 1 + z + z^2 is no binomial: the label takes the gcd
+    raw = symbolic.raw_domain
+    scalars = _step_scalars((0, 0, 3, 0), raw)
+    last = scalars[-1]
+    assert len(last) == 2 and set(last.values()) <= {1, -1}
+    (e1, _), (e2, _) = last.items()
+    assert math.gcd(*(x - y for x, y in zip(e1, e2))) == 6
+    assert polynomials._binomial_factors(last) is None
+    assert all(polynomials._binomial_factors(s) for s in scalars[:-1])
+    assert polynomials.chain_factors((0, 0, 3, 0), raw) is None
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    calls = []
+    full_reduce = paramfield._full_reduce
+
+    def counting(num, den):
+        calls.append(1)
+        return full_reduce(num, den)
+
+    monkeypatch.setattr(paramfield, "_full_reduce", counting)
+    return calls
+
+
+def test_trial_division_replaces_the_gcd(symbolic, gcd_calls):
+    family = KoornwinderFamily(1, symbolic)
+    for alpha in [(3,), (-3,), (2,)]:
+        family.nonsymmetric(alpha)
+    assert not gcd_calls
+
+
+def test_a_dropped_chain_factor_falls_back_to_the_gcd(monkeypatch, symbolic,
+                                                      gcd_calls):
+    expected = json.dumps(
+        KoornwinderFamily(1, symbolic).nonsymmetric((3,)).to_json())
+    assert not gcd_calls
+    factors = polynomials.chain_factors
+
+    def dropped(alpha, domain):
+        return factors(alpha, domain)[1:]
+
+    monkeypatch.setattr(polynomials, "chain_factors", dropped)
+    lead = KoornwinderFamily(1, symbolic)._chain_state((3,)).num[(3,)]
+    # without the factor, the product check fails ...
+    assert polynomials._trial_cofactors(dropped((3,), symbolic.raw_domain),
+                                        lead.terms) is None
+    # ... so the coefficients take the gcd, to the same bytes
+    got = KoornwinderFamily(1, symbolic).nonsymmetric((3,))
+    assert gcd_calls
+    assert json.dumps(got.to_json()) == expected
+
+
+@pytest.fixture
+def fallbacks(monkeypatch, symbolic):
+    """The coefficients for which verify_spectrum fell back to
+    product_equals."""
+    calls = []
+    same = type(symbolic).product_equals
+
+    def counting(self, a, b, c):
+        calls.append(a)
+        return same(self, a, b, c)
+
+    monkeypatch.setattr(type(symbolic), "product_equals", counting)
+    return calls
+
+
+def _with_coefficient(labeled, e, num, den):
+    """labeled with its coefficient at e replaced by num/den, as given:
+    not put in canonical form."""
+    from koornwinder.laurent import LaurentPolynomial
+    from koornwinder.polynomials import LabeledPolynomial
+    c = object.__new__(paramfield.FieldElement)
+    c.num, c.den = num, den
+    poly = labeled.poly
+    terms = dict(poly.num)
+    terms[e] = c
+    return LabeledPolynomial(
+        label=labeled.label, spectrum=labeled.spectrum,
+        poly=LaurentPolynomial(poly.ring, terms, poly.den))
+
+
+def test_verify_spectrum_certifies_the_monic_multiple(symbolic, fallbacks):
+    family = KoornwinderFamily(1, symbolic)
+    good = family.nonsymmetric((3,))
+    assert family.verify_spectrum(good)
+    # every coefficient is certified by the chain's factors
+    assert not fallbacks
+    # the largest coefficient, which the trial division reduced
+    e, c = max(good.poly.num.items(), key=lambda item: len(item[1].num))
+    assert len(c.num) > paramfield.GCD_TERM_THRESHOLD and len(c.den) > 1
+    top = max(c.num)
+    off = dict(c.num)
+    off[top] += 1 if off[top] != -1 else -1
+    doubled = {k: 2 * v for k, v in c.den.items()}
+    for num, den in [(off, c.den), (c.num, doubled)]:
+        assert not family.verify_spectrum(_with_coefficient(good, e, num, den))
+    # the same value over a denominator with a factor outside the chain's:
+    # the certificate fails, and the cross multiplication accepts it
+    extra = {(0,) * 6: 1, (1, 0, 0, 0, 0, 0): 1}
+    same = _with_coefficient(good, e, paramfield._mul(c.num, extra),
+                             paramfield._mul(c.den, extra))
+    fallbacks.clear()
+    assert family.verify_spectrum(same)
+    assert len(fallbacks) == 1
