@@ -12,18 +12,26 @@ built in, and from_raw, the conversion from it: a specialized domain is
 its own raw domain, and a symbolic one builds its chain states over
 LaurentScalarDomain, the Laurent polynomials in the six square roots,
 where / and negative powers take only units.
+
+The specialized and symbolic domains evaluate through one evaluator,
+paramfield._evaluate, in the ring of their parts hook, whose + and * take
+no gcd: ints, or LaurentScalars.  cleared writes a polynomial's
+coefficients as numerators in that ring over one denominator (over 1 in
+specialized mode, where a polynomial keeps its own int den; over the lcm
+of the coefficient denominators in symbolic mode), and evaluate_terms
+makes one Fraction or one field element of the evaluator's pair.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
 
 from . import paramfield
-from .paramfield import FieldElement, LaurentScalar, _evaluate, _lcm, _mul
+from .paramfield import (FieldElement, LaurentScalar, _element, _evaluate,
+                         _mul, _over_lcm)
 
 _PRIME_POOL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -144,26 +152,6 @@ class _BaseDomain:
         """The scalar c / den, for den as split returns it."""
         return c
 
-    def evaluate_terms(self, num, den, point):
-        """sum_e c_e x^e over the numerators {e: c_e} at a point with
-        nonzero coordinates, term by term; den is 1 (see split).  Each
-        power of a coordinate is computed once per call; an int
-        coordinate is made a Fraction first, so that its negative powers
-        stay exact."""
-        total = self.zero
-        point = [Fraction(x) if isinstance(x, int) else x for x in point]
-        pows = [{} for _ in point]
-        for e, c in num.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    pk = pows[i].get(k)
-                    if pk is None:
-                        pk = pows[i][k] = point[i] ** k
-                    v = v * pk
-            total = total + v
-        return total
-
 
 class LaurentScalarDomain(_BaseDomain):
     """Scalars are Laurent polynomials in the six square roots
@@ -215,10 +203,29 @@ class SymbolicDomain(_BaseDomain):
     def parts(self, c):
         """c as a (numerator, denominator) pair of LaurentScalars, Laurent
         polynomials in the six square roots, whose + and * never run a
-        gcd (NoumiRepresentation.d_eigen_holds computes with them).  The
-        term dictionaries are shared, not copied: FieldElement and
+        gcd (NoumiRepresentation.d_eigen_holds computes with them); an
+        int or a Fraction is made a field element first.  The term
+        dictionaries are shared, not copied: FieldElement and
         LaurentScalar never mutate one (see paramfield)."""
+        c = self.one._coerce(c)
         return LaurentScalar(c.num), LaurentScalar(c.den)
+
+    def cleared(self, num):
+        """The coefficients {e: c_e} as numerators in the ring of parts
+        over one denominator: ({e: N_e}, L), L the lcm of the
+        denominators of the c_e and N_e = c_e L, found by exact quotient
+        (paramfield._over_lcm), so no field arithmetic runs."""
+        nums, big = _over_lcm(list(num.values()))
+        return ({e: LaurentScalar(t) for e, t in zip(num, nums)},
+                LaurentScalar(big))
+
+    def evaluate_terms(self, num, den, point):
+        """sum_e c_e x^e over the numerators {e: c_e} at a point with
+        nonzero coordinates; den is 1 (see split).  The cleared
+        numerators are summed in Laurent scalars, and one field element
+        is made at the end."""
+        total, big = _evaluate(*self.cleared(num), list(map(self.parts, point)))
+        return _element(total.terms, big.terms) if total else self.zero
 
     def product_equals(self, a, b, c):
         """Whether a * b == c, by one cross multiplication of numerators
@@ -230,11 +237,6 @@ class SymbolicDomain(_BaseDomain):
 
     def complexity(self, v):
         return len(v.num) + len(v.den)
-
-    def common_denominator(self, values):
-        """A nonzero scalar whose product with each value is a polynomial
-        in the square roots: the lcm of the denominator polynomials."""
-        return FieldElement(_lcm(v.den for v in values))
 
     def encode_scalar(self, v):
         return v.to_json_value()
@@ -263,10 +265,6 @@ class SpecializedDomain(_BaseDomain):
         """Whether a * b == c."""
         return a * b == c
 
-    def common_denominator(self, values):
-        """The lcm of the denominators of the values."""
-        return Fraction(math.lcm(*(v.denominator for v in values)))
-
     def split(self, c):
         """(numerator, denominator) of a Fraction or an int; anything else
         raises TypeError."""
@@ -281,8 +279,15 @@ class SpecializedDomain(_BaseDomain):
     #: run a gcd (NoumiRepresentation.d_eigen_holds computes with them)
     parts = split
 
-    #: sum_e c_e x^e / den over one common denominator
-    evaluate_terms = staticmethod(_evaluate)
+    def cleared(self, num):
+        """The int numerators {e: c_e} over denominator 1: num itself, in
+        the ring of parts (a polynomial keeps its own den apart)."""
+        return num, 1
+
+    def evaluate_terms(self, num, den, point):
+        """sum_e c_e x^e / den at a point with nonzero coordinates, over
+        one common denominator (paramfield._evaluate)."""
+        return Fraction(*_evaluate(num, den, list(map(self.parts, point))))
 
     def star_domain(self):
         return SpecializedDomain(self.assignment.star())

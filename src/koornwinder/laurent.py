@@ -244,8 +244,9 @@ class LaurentPolynomial:
     def evaluate(self, point):
         """Exact substitution x_i -> point_i; all coordinates must be nonzero.
 
-        The domain sums the terms: a specialized domain over one common
-        denominator, a symbolic one term by term."""
+        The domain sums the terms over one common denominator, with
+        paramfield._evaluate: a specialized one in ints, a symbolic one
+        in Laurent scalars, with one field element made at the end."""
         point = tuple(point)
         if len(point) != self.ring.n:
             raise ValueError("evaluation point has wrong length")

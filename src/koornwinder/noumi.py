@@ -21,7 +21,7 @@ from . import weyl
 from .laurent import (LaurentPolynomial, LaurentRing, _reduced, _times,
                       apply_simple_reflection, apply_translation,
                       exact_divide, unit_normalize, ExactDivisionError)
-from .paramfield import _merged, _sub
+from .paramfield import _evaluate, _merged, _sub
 
 
 def character_value(word, domain, n):
@@ -380,10 +380,21 @@ class NoumiRepresentation:
         at x >= 2, and the coordinates are distinct integers >= 2, so no
         1 - x_i^+-1 x_j^+-1 vanishes.  So Q Phi_i^+- is computed at the
         point as the product of its numerator factors with the other
-        2n - 1 factors of Q, divided by those parameter-free factors, and
-        f and its 2n q-shifts (built once, by apply_translation) are
-        evaluated as polynomials.  The equation is linear in f, so it is
-        checked on f with its coefficient denominators cleared.
+        2n - 1 factors of Q, divided by those parameter-free factors.
+
+        f enters only through its values at the point and at the 2n
+        points with one coordinate x_i moved to q^+-1 x_i.  The q-shift
+        of f in x_i is by definition f(x_1, .., q^+-1 x_i, .., x_n), so
+        its value at the point is f's value at the moved point, and no
+        shifted polynomial is built.  f's denominator is dropped: with
+        f = h / L, L a nonzero scalar and h = sum_e h_e x^e with the h_e
+        in the ring of domain.parts (domain.cleared), D commutes with
+        multiplication by scalars, so D f - E(lam) f = (D h - E(lam) h) / L
+        and R vanishes at a point exactly when the residual of h does.
+        The check runs on h, evaluated by paramfield._evaluate with each
+        coordinate a pair: x_j is (x_j, 1), and a moved x_i is
+        (q_n x_i, q_d) for q x_i or (q_d x_i, q_n) for x_i / q, with
+        q = q_n / q_d.
 
         The arithmetic is fraction-free.  Every value is a pair (N, D)
         standing for N / D, with N and D in the ring of domain.parts
@@ -399,12 +410,13 @@ class NoumiRepresentation:
         (t_d s x_j - t_n r) / (t_d s x_j), and the parameter-free
         divisor is the int pair built from s^2 - r^2, s - r x_j and
         s x_j - r over s^2, s and s x_j.  Every denominator is a product
-        of nonzero factors: parameter denominators, the evaluated
-        denominators of f and its shifts, powers of s and of the
-        coordinates, and the values of the parameter-free factors, all
-        nonzero by the above.  The ring is an integral domain, so the
-        final denominator is nonzero, and Q R = 0 at the point exactly
-        when the final numerator is zero.
+        of nonzero factors: parameter denominators, the denominators
+        _evaluate returns for h (products of powers of q_n, q_d and the
+        coordinates), powers of s and of the coordinates, and the values
+        of the parameter-free factors, all nonzero by the above.  The
+        ring is an integral domain, so the final denominator is nonzero,
+        and Q R = 0 at the point exactly when the final numerator is
+        zero.
         """
         dom, n = self.domain, self.n
         if any(apply_simple_reflection(i, f) != f for i in range(1, n + 1)):
@@ -412,10 +424,8 @@ class NoumiRepresentation:
         eigenvalue = self.d_eigenvalue(lam)
         if not f:
             return True
-        f = f.scale(dom.common_denominator(f.terms.values()))
-        shifted = [apply_translation(i, f, d)
-                   for i in range(1, n + 1) for d in (1, -1)]
-        degree = max(abs(k) for e in f.num for k in e)
+        nums, _ = dom.cleared(f.num)
+        degree = max(abs(k) for e in nums for k in e)
         parts = dom.parts
         abcd = [parts(p) for p in (dom.a, dom.b, dom.c, dom.d)]
         tn, td = parts(dom.t)
@@ -423,14 +433,18 @@ class NoumiRepresentation:
         minus_e = parts(-eigenvalue)
         for point in itertools.combinations(self._grid_pool(degree), n):
             xs = [x.numerator for x in point]
-            fn, fd = parts(f.evaluate(point))
-            # y = x_i^+-1 = r / s in the order of shifted, and the
-            # factors of Q
+            at = [(x, 1) for x in xs]
+            fn, fd = _evaluate(nums, 1, at)
+            # y = x_i^+-1 = r / s, x_i moved to q^+-1 x_i, and the factors
+            # of Q, each in the order i = 1..n, then +-
             ys = [(x, 1) if d > 0 else (1, x) for x in xs for d in (1, -1)]
+            moved = [(qn * x, qd) if d > 0 else (qd * x, qn)
+                     for x in xs for d in (1, -1)]
             qs = [(qd * (s * s) - qn * (r * r), qd * (s * s)) for r, s in ys]
             total = _pair_product(qs + [minus_e, (fn, fd)])
-            for k, ((r, s), g) in enumerate(zip(ys, shifted)):
-                others = xs[:k // 2] + xs[k // 2 + 1:]
+            for k, (r, s) in enumerate(ys):
+                i = k // 2
+                others = xs[:i] + xs[i + 1:]
                 factors = [(pd * s - pn * r, pd * s) for pn, pd in abcd]
                 free_n, free_d = s * s - r * r, s * s
                 for x in others:
@@ -438,7 +452,7 @@ class NoumiRepresentation:
                     factors.append((td * (s * x) - tn * r, td * (s * x)))
                     free_n *= (s - r * x) * (s * x - r)
                     free_d *= s * (s * x)
-                gn, gd = parts(g.evaluate(point))
+                gn, gd = _evaluate(nums, 1, at[:i] + [moved[k]] + at[i + 1:])
                 factors += qs[:k] + qs[k + 1:]
                 # divided by the parameter-free factors, times g - f
                 factors += [(free_d, free_n), _pair_sum((gn, gd), (-fn, fd))]

@@ -12,9 +12,10 @@ _add, _sub and _neg, with coefficients that may also be FieldElements or
 LaurentScalars, so _merged never adds a coefficient to the int 0.  The
 kernels never mutate their operands and may return one of them, so term
 dictionaries are shared between elements and never mutated.  One
-evaluator, _evaluate, sums a dictionary of int coefficients at a
-rational point over one common denominator: specialize calls it, and so
-does SpecializedDomain.evaluate_terms.
+evaluator, _evaluate, sums a dictionary of coefficients at a point and
+returns a (numerator, denominator) pair, in a ring whose + and * take no
+gcd: the ints or the LaurentScalars.  specialize calls it, and so do both
+domains' evaluate_terms and NoumiRepresentation.d_eigen_holds.
 
 Canonical form: no zero coefficients, the integer content and the common
 monomial factor of num and den removed (every exponent nonnegative, with
@@ -24,12 +25,14 @@ attempted only past a size threshold; equality is decided by cross
 multiplication and never depends on gcd reduction.
 
 Only the gcd and the lcm need a computer-algebra library.  _load
-imports it on the first call of _full_reduce, the gcd reduction, or of
-_lcm, the lcm behind SymbolicDomain.common_denominator; each converts
-its inputs to the library's sparse ring and its result back to term
-dictionaries.  The constants ZERO, ONE and SQRT_Q .. SQRT_UN are built
-on import, so specialized mode, `specialize` and symbolic work whose
-coefficients stay below GCD_TERM_THRESHOLD never pay for that import.
+imports it on the first call of _full_reduce, the gcd reduction, or on
+the first call of _over_lcm, which puts field elements over the lcm of
+their denominators for SymbolicDomain.cleared, with denominators that
+differ; each converts its inputs to the library's sparse ring and its
+result back to term dictionaries.  The constants ZERO, ONE and
+SQRT_Q .. SQRT_UN are built on import, so specialized mode, `specialize`
+and symbolic work whose coefficients stay below GCD_TERM_THRESHOLD and
+share one denominator never pay for that import.
 
 LaurentScalar is the subring Z[r^+-1] of Laurent polynomials in the
 square roots: symbolic chain states are built over it, and only
@@ -182,14 +185,20 @@ def _full_reduce(num, den):
     return _from_ring(num), _from_ring(den)
 
 
-def _lcm(polys):
-    """The lcm of nonzero polynomials with nonnegative exponents, by
-    sympy's lcm in the ring of _load."""
+def _over_lcm(elements):
+    """([x.num (L / x.den) for x in elements], L) for a list of field
+    elements, L the lcm of their denominators: every element over L,
+    with its numerator found by exact quotient.  When the denominators
+    are all equal, L is that one and sympy is not loaded; otherwise the
+    lcm and the quotients are sympy's, in the ring of _load."""
+    dens = [x.den for x in elements] or [_ONE]
+    if dens.count(dens[0]) == len(dens):
+        return [x.num for x in elements], dens[0]
     ring, _ = _load()
-    out = ring.one
-    for p in polys:
-        out = out.lcm(ring.from_dict(p))
-    return _from_ring(out)
+    dens = [ring.from_dict(d) for d in dens]
+    big = functools.reduce(lambda a, b: a.lcm(b), dens)
+    return ([_mul(x.num, _from_ring(big.exquo(d)))
+             for x, d in zip(elements, dens)], _from_ring(big))
 
 
 def _normalize(num, den, reduce=False, cofactors=None):
@@ -405,11 +414,13 @@ class FieldElement:
             raise ValueError("expected 6 square-root values")
         if any(v == 0 for v in vals):
             raise ValueError("square-root values must be nonzero")
-        dv = _evaluate(self.den, 1, vals)
-        if dv == 0:
+        point = [(v.numerator, v.denominator) for v in vals]
+        dn, dd = _evaluate(self.den, 1, point)
+        if dn == 0:
             raise UnluckySpecializationError(
                 "denominator vanishes at this assignment")
-        return _evaluate(self.num, 1, vals) / dv
+        nn, nd = _evaluate(self.num, 1, point)
+        return Fraction(nn * dd, nd * dn)
 
     # -- canonicalization / serialization --------------------------------
 
@@ -558,26 +569,26 @@ def _power(base, k, one):
 
 
 def _evaluate(num, den, point):
-    """sum_e c_e x^e / den for int numerators {e: c_e} and an int den, at
-    a point of rationals with nonzero coordinates, over one common
-    denominator: reduced to lowest terms once per call rather than once
-    per arithmetic operation.
+    """(S, D) with S / D = sum_e c_e x^e / den, for numerators {e: c_e}
+    and a nonzero den in one ring, the ints or the LaurentScalars, at a
+    point given as pairs (a_i, b_i) of nonzero elements of that ring,
+    x_i = a_i / b_i.  Only + and * of the ring run, never a division,
+    so no gcd is taken; a caller that needs a scalar makes one Fraction
+    or one field element of S / D.
 
-    Write x_i = a_i / b_i in lowest terms (b_i > 0) and let l_i, h_i be
-    the least and largest exponent of x_i over the terms.  Then
-    x_i^e_i = a_i^(e_i - l_i) b_i^(h_i - e_i) * a_i^l_i / b_i^h_i, where
-    both exponents of the first factor lie in 0..h_i - l_i.  So
-        sum_e c_e x^e / den = S * prod_i a_i^l_i / b_i^h_i / den,
-        S = sum_e c_e prod_i a_i^(e_i - l_i) b_i^(h_i - e_i),
-    an integer summed from one table of a^j b^(h - l - j) per variable.
-    One Fraction is built at the end.
+    Let l_i, h_i be the least and largest exponent of x_i over the
+    terms.  Then x_i^e_i = a_i^(e_i - l_i) b_i^(h_i - e_i) a_i^l_i / b_i^h_i,
+    where both exponents of the first factor lie in 0..h_i - l_i.  So
+        sum_e c_e x^e / den = S / D,
+        S = sum_e c_e prod_i a_i^(e_i - l_i) b_i^(h_i - e_i) * prod_i a_i^l_i,
+        D = den prod_i b_i^h_i,
+    with a negative power of a_i or b_i moved to the other side.  The
+    sum is taken from one table of a^j b^(h - l - j) per variable, built
+    from the running powers of a and b.
     """
-    if not num:
-        return Fraction(0)
     scale = 1
     tables = []
-    for x, column in zip(point, zip(*num)):
-        a, b = x.numerator, x.denominator
+    for (a, b), column in zip(point, zip(*num)):
         low, high = min(column), max(column)
         if low >= 0:
             scale *= a ** low
@@ -587,15 +598,16 @@ def _evaluate(num, den, point):
             den *= b ** high
         else:
             scale *= b ** -high
-        width = high - low
-        row = [a ** j for j in range(width + 1)]
-        if b != 1:
-            row = [v * b ** (width - j) for j, v in enumerate(row)]
-        tables.append({low + j: v for j, v in enumerate(row)})
+        apow, bpow = [1], [1]
+        for _ in range(high - low):
+            apow.append(apow[-1] * a)
+            bpow.append(bpow[-1] * b)
+        tables.append({low + j: u * v for j, (u, v)
+                       in enumerate(zip(apow, reversed(bpow)))})
     total = 0
     for e, c in num.items():
         total += c * math.prod(map(getitem, tables, e))
-    return Fraction(total * scale, den)
+    return total * scale, den
 
 
 def _poly_str(p):

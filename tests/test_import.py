@@ -1,6 +1,7 @@
-"""sympy is imported by the first gcd or lcm of field elements: not by the
-package, the symbolic domain, a symbolic command whose coefficients stay
-small, or a symbolic E_alpha that is normalized by its chain's own
+"""sympy is imported by the first gcd of field elements, or the first lcm
+of denominators that differ: not by the package, the symbolic domain, a
+symbolic command whose coefficients stay small and share one
+denominator, or a symbolic E_alpha that is normalized by its chain's own
 factors.
 
 Each test runs its snippet in a fresh interpreter, so that no module
@@ -85,6 +86,8 @@ for argv in (["basis-check", "--n", "1", "--degree", "4", "--mode", "symbolic"],
               "--mode", "symbolic"],
              ["compute-e", "--n", "1", "--alpha", "1", "--mode", "symbolic"],
              ["compute-e", "--n", "1", "--alpha", "3", "--mode", "symbolic"],
+             ["compute-p", "--n", "1", "--lambda", "0", "--mode", "symbolic"],
+             ["check-duality", "--n", "1", "--max-weight", "0", "--symbolic"],
              ["specialize", "--input", %r, "--assignment", "2,3,5,7,11,13"]):
     assert cli.main(argv) == 0, argv
     assert "sympy" not in sys.modules, argv

@@ -13,7 +13,7 @@ from koornwinder.laurent import (LaurentRing, ExactDivisionError,
                                  apply_simple_reflection, apply_translation,
                                  exact_divide, unit_normalize)
 from koornwinder.noumi import NoumiRepresentation
-from koornwinder.paramfield import FieldElement, LaurentScalar
+from koornwinder.paramfield import FieldElement, LaurentScalar, _mul
 
 from conftest import random_laurent
 
@@ -216,9 +216,9 @@ def test_specialized_evaluate_matches_term_by_term(specialized, n, low, high):
                                    (Fraction(-3, 2), 5)],
                          ids=["int", "fraction", "mixed"])
 def test_both_modes_evaluate_negative_powers_alike(point):
-    # the symbolic domain sums term by term and the specialized one over
-    # one common denominator; an int coordinate to a negative power must
-    # stay exact in both
+    # both domains sum over one common denominator, in ints or in Laurent
+    # scalars; an int coordinate to a negative power must stay exact in
+    # both
     terms = {(-1, 0): 3, (0, -2): -5, (-2, 1): 7, (1, 1): 1, (0, 0): -2}
     sym = LaurentRing(2, SymbolicDomain()).from_terms(terms).evaluate(point)
     spec = LaurentRing(2, SpecializedDomain()).from_terms(terms).evaluate(
@@ -226,6 +226,63 @@ def test_both_modes_evaluate_negative_powers_alike(point):
     assert type(spec) is Fraction and type(sym) is FieldElement
     assert spec == term_by_term(terms, point)
     assert sym == FieldElement.from_fraction(spec)
+
+
+def field_term_by_term(terms, point):
+    """The reference symbolic sum: one FieldElement product per term,
+    added one term at a time, each sum normalized."""
+    total = FieldElement.from_int(0)
+    for e, c in terms.items():
+        v = c
+        for x, k in zip(point, e):
+            v = v * x ** k
+        total = total + v
+    return total
+
+
+def test_symbolic_evaluate_over_coefficients_with_different_denominators(
+        symbolic):
+    d = symbolic
+    f = LaurentRing(2, d).from_terms({
+        (0, 0): 3, (1, 0): d.t / (1 + d.q), (0, 1): d.t / (1 - d.t),
+        (-1, 2): d.a / (d.q - d.t), (2, -1): (1 + d.q) ** -2,
+        (-2, -2): d.c * d.d / ((1 + d.q) * (d.q - d.t))})
+    assert len({str(c.den) for c in f.terms.values()}) == 6
+    points = [weyl.spectral_vector(label, d)
+              for label in ((0, 0), (1, 0), (2, -1), (-1, 3))]
+    # and points with coordinates that are not monomials
+    points += [(1 + d.q, d.t), (d.s, (1 + d.q) ** -1),
+               (Fraction(-3, 2), 1 - d.t)]
+    for point in points:
+        assert f.evaluate(point) == field_term_by_term(f.terms, point)
+
+
+def test_cleared_numerators_stand_over_one_denominator(symbolic, specialized):
+    d = symbolic
+    coeffs = [d.t / (1 + d.q), d.a / (d.q - d.t), 1 / (1 - d.t * d.q) ** 2,
+              d.c, FieldElement.from_fraction(Fraction(-5, 3))]
+    num = {(k,): c for k, c in enumerate(coeffs)}
+    nums, big = d.cleared(num)
+    assert nums.keys() == num.keys()
+    assert all(isinstance(v, LaurentScalar) for v in nums.values())
+    for e, c in num.items():
+        assert (nums[e] * LaurentScalar(c.den)).terms == _mul(c.num, big.terms)
+    # equal denominators are taken as they are
+    same = {(0,): d.t / (1 + d.q), (1,): d.q / (1 + d.q)}
+    nums, big = d.cleared(same)
+    assert big.terms == same[(0,)].den
+    assert [v.terms for v in nums.values()] == [c.num for c in same.values()]
+    ints = {(0,): 3, (2,): -7}
+    assert specialized.cleared(ints) == (ints, 1)
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "specialized"])
+def test_zero_polynomial_evaluates_to_zero(mode, request):
+    domain = request.getfixturevalue(mode)
+    zero = LaurentRing(2, domain).zero()
+    for point in [(2, Fraction(-1, 3)), weyl.spectral_vector((1, 0), domain)]:
+        value = zero.evaluate(point)
+        assert type(value) is type(domain.one) and value == 0
 
 
 def test_json_and_text(ring):

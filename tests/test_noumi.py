@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from koornwinder import weyl
-from koornwinder.laurent import (LaurentPolynomial, LaurentRing,
-                                 apply_simple_reflection)
+from koornwinder import noumi, weyl
+from koornwinder.laurent import LaurentRing, apply_simple_reflection
 from koornwinder.noumi import (NoumiRepresentation, character_value,
                                check_daha_relations, monomial_exponents)
 from koornwinder.domains import (Assignment, LaurentScalarDomain,
@@ -583,18 +582,25 @@ def test_d_eigen_holds_checks_the_increasing_points_of_one_pool(monkeypatch,
     family = KoornwinderFamily(len(lam), SpecializedDomain())
     rep = family.rep
     poly = family.symmetric(lam).poly
-    points = set()
-    evaluate = LaurentPolynomial.evaluate
+    # the check evaluates f at each point, given as pairs (x, 1), and
+    # then at its 2n q-shifts, x_i moved to q x_i and to x_i / q
+    calls = []
+    evaluate = noumi._evaluate
 
-    def recording(self, point):
-        points.add(tuple(point))
-        return evaluate(self, point)
+    def recording(num, den, point):
+        calls.append([Fraction(a, b) for a, b in point])
+        return evaluate(num, den, point)
 
-    monkeypatch.setattr(LaurentPolynomial, "evaluate", recording)
+    monkeypatch.setattr(noumi, "_evaluate", recording)
     assert rep.d_eigen_holds(poly, lam)
     n, d = len(lam), lam[0]
+    q = family.domain.q
     pool = rep._grid_pool(d)
-    assert len(points) == math.comb(d + n, n)
-    for point in points:
+    groups = [calls[k:k + 2 * n + 1] for k in range(0, len(calls), 2 * n + 1)]
+    points = {tuple(group[0]) for group in groups}
+    assert len(groups) == len(points) == math.comb(d + n, n)
+    for point, *shifts in groups:
         assert all(x < y for x, y in zip(point, point[1:]))
         assert set(point) <= set(pool)
+        assert shifts == [point[:i] + [point[i] * q ** sign] + point[i + 1:]
+                          for i in range(n) for sign in (1, -1)]

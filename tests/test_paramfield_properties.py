@@ -137,7 +137,7 @@ def test_arithmetic_never_mutates_its_operands(x, y, r, s):
     results = [x + y, x - y, x * y, x / y, -x, 1 - x, x * 1, x ** 2,
                y ** -1, x.canonical(), x.epsilon(), x == y,
                domain.product_equals(x, y, x * y),
-               domain.common_denominator([x, y]),
+               domain.cleared({(0,): x, (1,): y}),
                r + s, r - s, r * s, -r, 1 - r, r * 1, r ** 2, r.to_field()]
     assert results and [dict(terms) for terms in operands] == before
 
