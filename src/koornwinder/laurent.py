@@ -287,6 +287,8 @@ class LaurentPolynomial:
 # ---------------------------------------------------------------------------
 # the affine generator action (algebra homomorphisms of the ring)
 
+# keeps its own per-term loops: through weyl's tuple helper, 900 reflections
+# of a 200-term rank-3 polynomial took 0.062-0.067 s instead of 0.039-0.040 s
 def apply_simple_reflection(i, f):
     """Act by the affine simple reflection s_i, 0 <= i <= n.
 

@@ -14,8 +14,10 @@ kernels never mutate their operands and may return one of them, so term
 dictionaries are shared between elements and never mutated.  One
 evaluator, _evaluate, sums a dictionary of coefficients at a point and
 returns a (numerator, denominator) pair, in a ring whose + and * take no
-gcd: the ints or the LaurentScalars.  specialize calls it, and so do both
-domains' evaluate_terms and NoumiRepresentation.d_eigen_holds.
+gcd: the ints or the LaurentScalars.  Its power tables hold one entry
+per exponent that occurs, so its time and memory follow the terms, not
+the exponents' range.  specialize calls it, and so do both domains'
+evaluate_terms and NoumiRepresentation.d_eigen_holds.
 
 Canonical form: no zero coefficients, the integer content and the common
 monomial factor of num and den removed (every exponent nonnegative, with
@@ -583,8 +585,10 @@ def _evaluate(num, den, point):
         S = sum_e c_e prod_i a_i^(e_i - l_i) b_i^(h_i - e_i) * prod_i a_i^l_i,
         D = den prod_i b_i^h_i,
     with a negative power of a_i or b_i moved to the other side.  The
-    sum is taken from one table of a^j b^(h - l - j) per variable, built
-    from the running powers of a and b.
+    sum is taken from one table per variable, mapping each exponent e
+    that occurs in its column to a^(e - l) b^(h - e) by two powers, so
+    the cost follows the distinct exponents of each variable, not the
+    range between l and h: a sparse 1 + x^k costs two table entries.
     """
     scale = 1
     tables = []
@@ -598,12 +602,8 @@ def _evaluate(num, den, point):
             den *= b ** high
         else:
             scale *= b ** -high
-        apow, bpow = [1], [1]
-        for _ in range(high - low):
-            apow.append(apow[-1] * a)
-            bpow.append(bpow[-1] * b)
-        tables.append({low + j: u * v for j, (u, v)
-                       in enumerate(zip(apow, reversed(bpow)))})
+        tables.append({k: a ** (k - low) * b ** (high - k)
+                       for k in set(column)})
     total = 0
     for e, c in num.items():
         total += c * math.prod(map(getitem, tables, e))

@@ -23,6 +23,7 @@ multiple; labels whose factors are not all binomials take the gcd.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -38,7 +39,7 @@ from .laurent import (ExactDivisionError, LaurentRing, LaurentPolynomial,
                       _divide_lines, _line_terms, _lines)
 from .noumi import NoumiRepresentation, monomial_exponents
 from .oracle import EigenOracle, matrix_rank
-from .paramfield import _merged, _mul, _strip_monomial
+from .paramfield import _mul, _strip_monomial
 
 
 class NonGenericParametersError(ArithmeticError):
@@ -103,23 +104,11 @@ def _binomial_factors(terms):
     return out
 
 
-def _times_factors(terms, factors):
-    """The term dict terms times the product of the factors (v, c) of
-    chain_factors.  The factors along one v multiply to a polynomial in
-    z = r^v with constant term one, so terms is shifted and added once
-    per other term of it: once for (1 - z)(1 + z) = 1 - z^2."""
-    for v, signs in _by_direction(factors).items():
-        poly = {0: 1}
-        for c in signs:
-            poly = _merged({k + 1: c * x for k, x in poly.items()}, poly)
-        out = dict(terms)
-        for k, x in poly.items():
-            if k:
-                kv = tuple(k * y for y in v)
-                _merged(out, {tuple(map(operator.add, e, kv)): x * t
-                              for e, t in terms.items()})
-        terms = out
-    return terms
+def _product(factors):
+    """The term dict of the product of the factors (v, c) of
+    chain_factors, each 1 + c r^v."""
+    return functools.reduce(_mul, ({(0,) * 6: 1, v: c} for v, c in factors),
+                            {(0,) * 6: 1})
 
 
 def _unit(a, b):
@@ -175,7 +164,7 @@ def _trial_cofactors(factors, lead):
     """
     if factors is None:
         return None
-    product = _times_factors({(0,) * 6: 1}, factors)
+    product = _product(factors)
     if _unit(lead, product) is None:
         return None
     groups = _by_direction(factors)
@@ -185,7 +174,7 @@ def _trial_cofactors(factors, lead):
         if unit is None:
             raise ExactDivisionError("denominator is no multiple of the lead")
         num, rest = _divide_out(num, groups)
-        return _strip_monomial(num, _times_factors(unit, rest))
+        return _strip_monomial(num, _mul(unit, _product(rest)))
     return cofactors
 
 
@@ -198,9 +187,10 @@ def _certified(c, factors, lead, value):
     c * lead = c.num G u = value.  False says only that this
     certificate failed."""
     _, rest = _divide_out(c.den, _by_direction(factors))
-    unit = _unit(lead, _times_factors(c.den, rest))
+    product = _product(rest)
+    unit = _unit(lead, _mul(c.den, product))
     return (unit is not None
-            and _mul(unit, _times_factors(c.num, rest)) == value)
+            and _mul(unit, _mul(c.num, product)) == value)
 
 
 @dataclass

@@ -14,6 +14,7 @@ zero-based in code.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -80,32 +81,31 @@ class SignedPermutation:
 # ---------------------------------------------------------------------------
 # the affine action on Z^n and on affine exponents
 
+def _finite(i, v, last):
+    """A finite s_i, 0 < i <= n = len(v), on the tuple v: entries i and
+    i + 1 (one-based) swapped, or for i = n the last entry mapped by
+    last.  ValueError for any other i."""
+    if not 0 < i <= len(v):
+        raise ValueError("reflection index out of range: %r" % (i,))
+    if i == len(v):
+        return tuple(v[:-1]) + (last(v[-1]),)
+    out = list(v)
+    out[i - 1], out[i] = out[i], out[i - 1]
+    return tuple(out)
+
+
 def affine_action(i, v):
     """s_i acting affinely on an integer vector."""
-    n = len(v)
     if i == 0:
         return (-v[0] - 1,) + tuple(v[1:])
-    if i == n:
-        return tuple(v[:-1]) + (-v[-1],)
-    if 0 < i < n:
-        out = list(v)
-        out[i - 1], out[i] = out[i], out[i - 1]
-        return tuple(out)
-    raise ValueError("reflection index out of range: %r" % (i,))
+    return _finite(i, v, operator.neg)
 
 
 def functional_action(i, v, delta):
     """s_i on an affine exponent v + delta*d; returns (v', delta')."""
-    n = len(v)
     if i == 0:
         return (-v[0],) + tuple(v[1:]), delta - v[0]
-    if i == n:
-        return tuple(v[:-1]) + (-v[-1],), delta
-    if 0 < i < n:
-        out = list(v)
-        out[i - 1], out[i] = out[i], out[i - 1]
-        return tuple(out), delta
-    raise ValueError("reflection index out of range: %r" % (i,))
+    return affine_action(i, v), delta
 
 
 def pairing(v, delta, u):
@@ -197,16 +197,9 @@ def spectral_vector(alpha, domain):
 
 def reflect_spectral(i, spec, domain):
     """The image of a spectral vector under s_i (componentwise on values)."""
-    n = len(spec)
     if i == 0:
         return (domain.q_pow(-1) * spec[0] ** (-1),) + tuple(spec[1:])
-    if i == n:
-        return tuple(spec[:-1]) + (spec[-1] ** (-1),)
-    if 0 < i < n:
-        out = list(spec)
-        out[i - 1], out[i] = out[i], out[i - 1]
-        return tuple(out)
-    raise ValueError("reflection index out of range: %r" % (i,))
+    return _finite(i, spec, lambda x: x ** (-1))
 
 
 def chain_step(alpha):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from koornwinder.domains import SymbolicDomain, SpecializedDomain
@@ -59,3 +61,14 @@ def random_laurent(ring, rng, radius=2, terms=4):
     if not out:
         out = ring.one()
     return out
+
+
+def peak_mib(compute):
+    """compute() and the peak of the memory it allocated, in MiB."""
+    tracemalloc.start()
+    try:
+        value = compute()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak / 2 ** 20

@@ -7,6 +7,8 @@ import pytest
 from koornwinder import duality, noumi, paramfield, polynomials
 from koornwinder.cli import main
 
+from conftest import peak_mib
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -127,6 +129,20 @@ def test_specialize_stdin_value(capsys, tmp_path, monkeypatch):
                            "--assignment", "1,1,1,7,1,13")
     assert code == 0
     assert json.loads(out)["value"] == "91"
+
+
+def test_specialize_sparse_element(capsys, monkeypatch):
+    # 1 + q^7000 at q^(1/2) = 2: the evaluator tabulates the two exponents
+    # that occur; running powers over the 14001 between them peak near
+    # 27 MiB.  A larger exponent would print more digits than Python's
+    # int-to-str limit allows.
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"num":[["1",[0,0,0,0,0,0]],["1",[14000,0,0,0,0,0]]],'
+        '"den":[["1",[0,0,0,0,0,0]]]}'))
+    (code, out, err), peak = peak_mib(lambda: run_cli(capsys, "specialize"))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"] == str(1 + 2 ** 14000)
+    assert peak < 5
 
 
 # an element with a negative exponent and a two-term denominator; its

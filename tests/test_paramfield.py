@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from koornwinder import paramfield as pf
+from koornwinder.domains import Assignment, SymbolicDomain
+from koornwinder.laurent import LaurentRing
 from koornwinder.paramfield import FieldElement, UnluckySpecializationError
 
-from conftest import random_field_element
+from conftest import peak_mib, random_field_element
 
 
 ONE = pf.ONE
@@ -106,6 +108,27 @@ def test_specialize_examples(symbolic):
         bad.specialize(ones)
     with pytest.raises(ValueError):
         symbolic.q.specialize([0, 1, 1, 1, 1, 1])
+
+
+# one sparse element, 1 + q^(k/2) or 1 + x^k, evaluated at 2 with
+# k = 20000: power tables over every exponent from 0 to k hold k big
+# ints and peak above 50 MiB; one entry per exponent that occurs holds two
+SPARSE = 20000
+
+
+def test_specialize_memory_follows_the_terms_not_the_exponent_range():
+    x = FieldElement({(0,) * 6: 1, (SPARSE, 0, 0, 0, 0, 0): 1})
+    value, peak = peak_mib(
+        lambda: x.specialize(Assignment.default().values()))
+    assert value == 1 + 2 ** SPARSE
+    assert peak < 5
+
+
+def test_symbolic_evaluate_memory_follows_the_terms():
+    f = LaurentRing(1, SymbolicDomain()).from_terms({(0,): 1, (SPARSE,): 1})
+    value, peak = peak_mib(lambda: f.evaluate((2,)))
+    assert value == FieldElement.from_int(1 + 2 ** SPARSE)
+    assert peak < 5
 
 
 def test_specialize_is_a_homomorphism():

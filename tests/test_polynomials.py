@@ -528,7 +528,7 @@ def test_chain_factors_split_the_step_scalars_of_0_2_0(symbolic):
         for v, c in parts:
             # 1 + c r^v with c = +-1 and v's first nonzero entry positive
             assert c in (1, -1) and next(x for x in v if x) > 0
-        product = polynomials._times_factors({(0,) * 6: 1}, parts)
+        product = polynomials._product(parts)
         # the scalar is a unit, a +-1 monomial, times the product
         unit = polynomials._unit(scalar, product)
         assert unit and set(unit.values()) <= {1, -1}

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from koornwinder import weyl
+from koornwinder.laurent import LaurentRing, apply_simple_reflection
+from koornwinder.noumi import monomial_exponents
 from koornwinder.weyl import (SignedPermutation, affine_action, braid_order,
                               chain_step, chain_to, enumerate_W0,
                               functional_action, pairing, spectral_vector,
@@ -32,6 +34,32 @@ def test_functional_action_examples():
     assert functional_action(0, (1, 0), 0) == ((-1, 0), -1)
     assert functional_action(0, (0, 0), 0) == ((0, 0), 0)
     assert functional_action(2, (1, 2), 3) == ((1, -2), 3)
+
+
+def test_functional_action_moves_no_delta_under_finite_generators():
+    for v in monomial_exponents(3, 2):
+        for i in range(1, 4):
+            for delta in (0, -2, 5):
+                assert functional_action(i, v, delta) == (
+                    affine_action(i, v), delta)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_reflection_index_out_of_range(specialized, n):
+    v = tuple(range(1, n + 1))
+    spec = spectral_vector(v, specialized)
+    f = LaurentRing(n, specialized).gen(1)
+    for i in (-1, n + 1):
+        with pytest.raises(ValueError):
+            affine_action(i, v)
+        with pytest.raises(ValueError):
+            functional_action(i, v, 0)
+        with pytest.raises(ValueError):
+            reflect_spectral(i, spec, specialized)
+        with pytest.raises(ValueError):
+            SignedPermutation.simple(i, n)
+        with pytest.raises(ValueError):
+            apply_simple_reflection(i, f)
 
 
 def test_pairing_invariance():
