@@ -238,8 +238,12 @@ def _cmd_specialize(args):
 
     def run(assignment):
         value = element.specialize(assignment.values())
-        return {"value": str(value),
-                "assignment": assignment.as_strings()}
+        try:
+            text = str(value)
+        except ValueError:  # str() refuses an int past the digit limit
+            raise ValueError("the value exceeds Python's %d-digit limit"
+                             % sys.get_int_max_str_digits()) from None
+        return {"value": text, "assignment": assignment.as_strings()}
 
     return _report(args, run, lambda r: r["value"], lambda r: True)
 

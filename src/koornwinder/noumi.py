@@ -13,7 +13,6 @@ and a relation-check suite for the defining presentation.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import lcm
 from operator import add
 
@@ -367,20 +366,18 @@ class NoumiRepresentation:
         Combin. Probab. Comput. 8, 1999, Lemma 2.1); the product does
         not, so neither does R.
 
-        D f = sum_{i, +-} Phi_i^+-(x) (f(x_i -> q^+-1 x_i) - f(x)), with
-        Koornwinder's coefficient
+        Each point tests
+            R = sum_{i, +-} Phi_i^+-(x) (f(x_i -> q^+-1 x_i) - f(x))
+                - E(lam) f(x) = 0
+        with Koornwinder's coefficient
             Phi_i^+-(x) = (1 - a y)(1 - b y)(1 - c y)(1 - d y)
                           / ((1 - y^2)(1 - q y^2))
                           * prod_{j != i} (1 - t y x_j)(1 - t y / x_j)
                                           / ((1 - y x_j)(1 - y / x_j)),
-        y = x_i^+-1.  Each point tests Q R = 0 with Q = prod_{i, +-}
-        (1 - q x_i^+-2), which is nonzero there because S avoids the roots
-        of 1 - q x^+-2.  The other denominator factors are free of the
-        parameters and nonzero at a point as well: 1 - x^+-2 has no root
-        at x >= 2, and the coordinates are distinct integers >= 2, so no
-        1 - x_i^+-1 x_j^+-1 vanishes.  So Q Phi_i^+- is computed at the
-        point as the product of its numerator factors with the other
-        2n - 1 factors of Q, divided by those parameter-free factors.
+        y = x_i^+-1.  Every denominator factor is nonzero at a point of
+        S^n with distinct coordinates: 1 - q y^2 because S skips the roots
+        of 1 - q x^+-2, and the parameter-free ones because 1 - x^+-2 has
+        no root at x >= 2 and no 1 - x_i^+-1 x_j^+-1 vanishes.
 
         f enters only through its values at the point and at the 2n
         points with one coordinate x_i moved to q^+-1 x_i.  The q-shift
@@ -401,72 +398,64 @@ class NoumiRepresentation:
         (the integers, or the Laurent polynomials in the six square
         roots), whose + and * never take a gcd: pairs multiply as
         (a c, b d) and add by cross multiplication, (a d + c b, b d), or
-        (a + c, b) when the denominators are equal.  With y = r / s,
-        r and s the ints (x, 1) or (1, x), and p = p_n / p_d for each
-        parameter, every factor is a pair of ring elements:
-        1 - p y = (p_d s - p_n r) / (p_d s),
-        1 - q y^2 = (q_d s^2 - q_n r^2) / (q_d s^2),
+        (a + c, b) when the denominators are equal, and dividing by a
+        pair swaps it.  With y = r / s, r and s the ints (x, 1) or
+        (1, x), and p = p_n / p_d for each parameter, every factor is a
+        pair of ring elements: 1 - p y = (p_d s - p_n r) / (p_d s),
         1 - t y x_j^+-1 = (t_d s - t_n r x_j) / (t_d s) and
-        (t_d s x_j - t_n r) / (t_d s x_j), and the parameter-free
-        divisor is the int pair built from s^2 - r^2, s - r x_j and
-        s x_j - r over s^2, s and s x_j.  Every denominator is a product
-        of nonzero factors: parameter denominators, the denominators
-        _evaluate returns for h (products of powers of q_n, q_d and the
-        coordinates), powers of s and of the coordinates, and the values
-        of the parameter-free factors, all nonzero by the above.  The
-        ring is an integral domain, so the final denominator is nonzero,
-        and Q R = 0 at the point exactly when the final numerator is
-        zero.
+        (t_d s x_j - t_n r) / (t_d s x_j); the divisor 1 - q y^2 is the
+        swapped pair (q_d s^2, q_d s^2 - q_n r^2), and the parameter-free
+        divisor is the swapped int pair built from s^2 - r^2, s - r x_j
+        and s x_j - r over s^2, s and s x_j.  Every denominator is a
+        product of nonzero factors: parameter denominators, the
+        denominators _evaluate returns for h (products of powers of q_n,
+        q_d and the coordinates), powers of s and of the coordinates, and
+        the values of the divisors, all nonzero by the above.  The ring
+        is an integral domain, so the final denominator is nonzero, and
+        R = 0 at the point exactly when the final numerator is zero.
         """
         dom, n = self.domain, self.n
         if any(apply_simple_reflection(i, f) != f for i in range(1, n + 1)):
             raise ValueError("input is not W0-invariant")
-        eigenvalue = self.d_eigenvalue(lam)
+        minus_e = dom.parts(-self.d_eigenvalue(lam))
         if not f:
             return True
         nums, _ = dom.cleared(f.num)
         degree = max(abs(k) for e in nums for k in e)
-        parts = dom.parts
-        abcd = [parts(p) for p in (dom.a, dom.b, dom.c, dom.d)]
-        tn, td = parts(dom.t)
-        qn, qd = parts(dom.q)
-        minus_e = parts(-eigenvalue)
-        for point in itertools.combinations(self._grid_pool(degree), n):
-            xs = [x.numerator for x in point]
+        abcd = [dom.parts(p) for p in (dom.a, dom.b, dom.c, dom.d)]
+        (tn, td), (qn, qd) = dom.parts(dom.t), dom.parts(dom.q)
+        for xs in itertools.combinations(self._grid_pool(degree), n):
             at = [(x, 1) for x in xs]
             fn, fd = _evaluate(nums, 1, at)
-            # y = x_i^+-1 = r / s, x_i moved to q^+-1 x_i, and the factors
-            # of Q, each in the order i = 1..n, then +-
-            ys = [(x, 1) if d > 0 else (1, x) for x in xs for d in (1, -1)]
-            moved = [(qn * x, qd) if d > 0 else (qd * x, qn)
-                     for x in xs for d in (1, -1)]
-            qs = [(qd * (s * s) - qn * (r * r), qd * (s * s)) for r, s in ys]
-            total = _pair_product(qs + [minus_e, (fn, fd)])
-            for k, (r, s) in enumerate(ys):
-                i = k // 2
-                others = xs[:i] + xs[i + 1:]
-                factors = [(pd * s - pn * r, pd * s) for pn, pd in abcd]
-                free_n, free_d = s * s - r * r, s * s
-                for x in others:
-                    factors.append((td * s - tn * (r * x), td * s))
-                    factors.append((td * (s * x) - tn * r, td * (s * x)))
-                    free_n *= (s - r * x) * (s * x - r)
-                    free_d *= s * (s * x)
-                gn, gd = _evaluate(nums, 1, at[:i] + [moved[k]] + at[i + 1:])
-                factors += qs[:k] + qs[k + 1:]
-                # divided by the parameter-free factors, times g - f
-                factors += [(free_d, free_n), _pair_sum((gn, gd), (-fn, fd))]
-                total = _pair_sum(total, _pair_product(factors))
+            total = _pair_product([minus_e, (fn, fd)])
+            for i, x in enumerate(xs):
+                # y = x_i^+-1 = r / s, with x_i moved to q^+-1 x_i
+                for r, s, moved in ((x, 1, (qn * x, qd)),
+                                    (1, x, (qd * x, qn))):
+                    factors = [(pd * s - pn * r, pd * s) for pn, pd in abcd]
+                    free_n, free_d = s * s - r * r, s * s
+                    for z in xs[:i] + xs[i + 1:]:
+                        factors.append((td * s - tn * (r * z), td * s))
+                        factors.append((td * (s * z) - tn * r, td * (s * z)))
+                        free_n *= (s - r * z) * (s * z - r)
+                        free_d *= s * (s * z)
+                    gn, gd = _evaluate(nums, 1, at[:i] + [moved] + at[i + 1:])
+                    qy = qd * (s * s)
+                    # divided by 1 - q y^2 and the parameter-free factors,
+                    # times g - f, g the value of f at the moved point
+                    factors += [(qy, qy - qn * (r * r)), (free_d, free_n),
+                                _pair_sum((gn, gd), (-fn, fd))]
+                    total = _pair_sum(total, _pair_product(factors))
             if total[0]:
                 return False
         return True
 
     def _grid_pool(self, degree):
         """degree + n increasing integers >= 2, skipping every x with
-        1 - q x^2 = 0 or 1 - q x^-2 = 0 (as Fractions, so negative powers
-        stay exact)."""
+        1 - q x^2 = 0 or 1 - q x^-2 = 0, so that no divisor 1 - q y^2 of
+        d_eigen_holds vanishes at a point drawn from them."""
         q = self.domain.q
-        pool = (Fraction(x) for x in itertools.count(2)
+        pool = (x for x in itertools.count(2)
                 if q * (x * x) != 1 and q != x * x)
         return list(itertools.islice(pool, degree + self.n))
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -143,6 +144,21 @@ def test_specialize_sparse_element(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert json.loads(out)["value"] == str(1 + 2 ** 14000)
     assert peak < 5
+
+
+def test_specialize_past_the_digit_limit_is_a_plain_error(capsys,
+                                                          monkeypatch):
+    # 1 + q^7200 at q^(1/2) = 2 has 4335 digits, past the interpreter's
+    # int-to-str limit; the error names the limit, not a setting the CLI
+    # cannot reach
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"num":[["1",[0,0,0,0,0,0]],["1",[14400,0,0,0,0,0]]],'
+        '"den":[["1",[0,0,0,0,0,0]]]}'))
+    code, out, err = run_cli(capsys, "specialize")
+    assert (code, out) == (1, "")
+    message = json.loads(err)["error"]
+    assert message == ("the value exceeds Python's %d-digit limit"
+                       % sys.get_int_max_str_digits())
 
 
 # an element with a negative exponent and a two-term denominator; its
